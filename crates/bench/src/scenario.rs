@@ -1,6 +1,7 @@
 //! Scenario files: a dependency-free text format describing one end-to-end
 //! thermal experiment, and the shared pipeline that runs it
-//! (spec → layer stack → circuit → solve → report).
+//! (spec → board → circuit → solve → report). Every scenario runs as a
+//! board: the single-die form is the one-placement board without a PCB.
 //!
 //! A `.scn` file is line-oriented: `[section]` headers followed by
 //! `key = value` pairs; `#` starts a comment line. Sections:
@@ -49,7 +50,7 @@ use hotiron_thermal::solve::{solve_steady, solve_steady_with, SolveError, Solver
 use hotiron_thermal::sparse::SolveStats;
 use hotiron_thermal::units::{celsius_to_kelvin, kelvin_to_celsius};
 use hotiron_thermal::{fluid, materials, Boundary, FlowDirection, Layer, LayerStack, OilFilm};
-use hotiron_thermal::{Board, PcbSpec, Placement, Rotation, ViaField};
+use hotiron_thermal::{Board, BoardError, PcbSpec, Placement, Rotation, ViaField};
 use hotiron_thermal::{Fluid, Material, PowerMap};
 use std::fmt;
 
@@ -266,9 +267,10 @@ pub struct Scenario {
     pub ambient_c: f64,
     /// Also emit the raw silicon temperature field as CSV.
     pub field: bool,
-    /// The shared PCB substrate of a board scenario (`None` for the
-    /// single-die form; when `Some`, the single-die fields above hold inert
-    /// placeholders and `places` carries the packages).
+    /// The shared PCB substrate of a board scenario. `None` for the
+    /// single-die form, which [`run_in`] lowers to the one-placement board
+    /// [`Board::solo`] built from the fields above. When `Some`, `places`
+    /// carries the packages and the single-die fields are unused.
     pub board: Option<BoardSpec>,
     /// The placed packages of a board scenario, file order.
     pub places: Vec<PlaceSpec>,
@@ -316,8 +318,14 @@ fn direction_token(d: FlowDirection) -> &'static str {
     }
 }
 
+/// Parses a finite number. `f64::from_str` also accepts `NaN`, `inf` and
+/// `infinity`; no scenario quantity is meaningful as one, so they are
+/// rejected here with the same line-numbered error as any other bad number.
 fn parse_f64(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
-    s.parse().map_err(|_| err(ln, format!("bad number `{s}` for key `{key}`")))
+    s.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| err(ln, format!("bad number `{s}` for key `{key}`")))
 }
 
 fn parse_usize(ln: usize, key: &str, s: &str) -> Result<usize, ScenarioError> {
@@ -720,8 +728,8 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         return Ok(Scenario {
             title: title.unwrap_or_else(|| name.clone()),
             name,
-            // Inert single-die placeholders: the board pipeline never reads
-            // them, and `to_scn` omits their sections, so they round-trip.
+            // Single-die fields a board scenario never reads; `to_scn` omits
+            // their sections, so they round-trip.
             plan: PlanKind::Uniform,
             width: None,
             height: None,
@@ -915,8 +923,102 @@ impl Scenario {
             .with_top(self.top.clone()))
     }
 
-    fn block_power(&self, plan: &Floorplan) -> Result<PowerMap, ScenarioError> {
-        block_power_for(&self.power, self.plan, plan)
+    /// Lowers the scenario to the board IR on a `rows × cols` grid — the one
+    /// lowering point of the pipeline. A `[board]` scenario becomes its PCB,
+    /// via fields and placements; the single-die form becomes its stack's
+    /// [`Board::solo`] board.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a `silicon` marker names no layer.
+    fn lower(&self, rows: usize, cols: usize) -> Result<Lowered<'_>, ScenarioError> {
+        let Some(bs) = &self.board else {
+            let plan = self.floorplan();
+            let stack = self.stack()?;
+            let board = Board::solo(rows, cols, die_of(&plan, &stack), stack);
+            return Ok(Lowered {
+                board,
+                mappings: vec![GridMapping::new(&plan, rows, cols)],
+                dies: vec![Die { plan, kind: self.plan, power: &self.power, place: None }],
+            });
+        };
+        let mut board = Board::new(
+            rows,
+            cols,
+            PcbSpec {
+                width: bs.width,
+                height: bs.height,
+                thickness: bs.thickness,
+                material: bs.material,
+                bottom: bs.bottom.clone(),
+            },
+        );
+        for v in &bs.vias {
+            board = board.with_via(ViaField {
+                name: v.name.clone(),
+                x: v.x,
+                y: v.y,
+                width: v.width,
+                height: v.height,
+                conductance_per_area: v.sigma,
+            });
+        }
+        let mut mappings = Vec::with_capacity(self.places.len());
+        let mut dies = Vec::with_capacity(self.places.len());
+        for p in &self.places {
+            let plan = plan_for(p.plan, p.width, p.height);
+            let (layers, si_index) = lower_layers(&p.layers, p.silicon.as_deref())
+                .map_err(|e| in_place(Some(&p.name), e))?;
+            let stack = LayerStack::new(layers, si_index)
+                .with_bottom(Boundary::Insulated)
+                .with_top(p.top.clone());
+            board = board.with_placement(Placement {
+                name: p.name.clone(),
+                die: die_of(&plan, &stack),
+                stack,
+                x: p.x,
+                y: p.y,
+                rotation: p.rotation,
+            });
+            mappings.push(GridMapping::new(&plan, rows, cols));
+            dies.push(Die { plan, kind: p.plan, power: &p.power, place: Some(&p.name) });
+        }
+        Ok(Lowered { board, mappings, dies })
+    }
+}
+
+/// A scenario lowered to the board IR: the board, one grid mapping per
+/// placement, and what the pipeline needs of each die after assembly.
+struct Lowered<'a> {
+    board: Board,
+    mappings: Vec<GridMapping>,
+    dies: Vec<Die<'a>>,
+}
+
+/// One die of a lowered scenario, in placement order.
+struct Die<'a> {
+    plan: Floorplan,
+    kind: PlanKind,
+    power: &'a PowerSpec,
+    /// The `[place]` designator; `None` for the single-die form.
+    place: Option<&'a str>,
+}
+
+/// Die geometry of a stack over a floorplan: the plan's extent, the silicon
+/// layer's thickness.
+fn die_of(plan: &Floorplan, stack: &LayerStack) -> DieGeometry {
+    DieGeometry {
+        width: plan.width(),
+        height: plan.height(),
+        thickness: stack.layers[stack.si_index.min(stack.layers.len() - 1)].thickness,
+    }
+}
+
+/// Prefixes a per-die error with its `[place]` designator, if any.
+fn in_place(place: Option<&str>, e: ScenarioError) -> ScenarioError {
+    match place {
+        Some(name) => err(e.line, format!("placement `{name}`: {}", e.message)),
+        None => e,
     }
 }
 
@@ -1061,7 +1163,7 @@ pub struct Solution {
     pub pcb: Option<PcbReadout>,
 }
 
-/// Runs one scenario end-to-end: lower the stack, assemble (through the
+/// Runs one scenario end-to-end: lower it to a board, assemble (through the
 /// content-hash circuit cache), solve steady state, check the energy-balance
 /// and maximum-principle invariants inline, and report.
 ///
@@ -1079,6 +1181,12 @@ pub fn run(sc: &Scenario, fidelity: Fidelity) -> Result<Solution, ScenarioError>
 /// the cache bound, hit/miss counters and eviction behavior belong to the
 /// daemon rather than the process.
 ///
+/// A single-die scenario runs as a one-placement board without a PCB; the
+/// board-only outputs — [`Solution::placements`], [`Solution::pcb`], the
+/// `board_hash`/`placements` meta, `place/` block prefixes and `# place`
+/// field headers — appear exactly when the scenario has a `[board]`
+/// section.
+///
 /// # Errors
 ///
 /// As [`run`].
@@ -1087,33 +1195,35 @@ pub fn run_in(
     fidelity: Fidelity,
     cache: &CircuitCache,
 ) -> Result<Solution, ScenarioError> {
-    if sc.board.is_some() {
-        return run_board_in(sc, fidelity, cache);
-    }
-    let plan = sc.floorplan();
-    let stack = sc.stack()?;
-    let die = DieGeometry {
-        width: plan.width(),
-        height: plan.height(),
-        thickness: stack.layers[stack.si_index.min(stack.layers.len() - 1)].thickness,
-    };
     let (rows, cols) = match fidelity {
         Fidelity::Fast => (sc.rows.min(16), sc.cols.min(16)),
         Fidelity::Paper => (sc.rows, sc.cols),
     };
-    let mapping = GridMapping::new(&plan, rows, cols);
-    let (circuit, cache_hit) = cache
-        .get_or_build(&mapping, die, &stack)
-        .map_err(|e| err(0, format!("invalid stack: {e}")))?;
+    let Lowered { board, mappings, dies } = sc.lower(rows, cols)?;
+    let (circuit, cache_hit) =
+        cache.get_or_build_board(&board, &mappings).map_err(|e| match e {
+            // A single-die scenario names no placement; report its stack.
+            BoardError::InvalidStack { source, .. } if board.pcb.is_none() => {
+                err(0, format!("invalid stack: {source}"))
+            }
+            e => err(0, format!("invalid board: {e}")),
+        })?;
 
-    let power = sc.block_power(&plan)?;
-    let cell_power = mapping.spread_block_values(power.values());
+    let n_cells = rows * cols;
+    let mut cell_power = vec![0.0; dies.len() * n_cells];
+    for ((die, mapping), chunk) in dies.iter().zip(&mappings).zip(cell_power.chunks_mut(n_cells)) {
+        let power =
+            block_power_for(die.power, die.kind, &die.plan).map_err(|e| in_place(die.place, e))?;
+        chunk.copy_from_slice(&mapping.spread_block_values(power.values()));
+    }
     let ambient = celsius_to_kelvin(sc.ambient_c);
     let mut state = vec![ambient; circuit.node_count()];
     let solve_stats = dispatch_steady(sc, &circuit, &cell_power, ambient, &mut state)?;
 
     // Inline physics oracles: every scenario run is also a correctness
-    // check, so `figures --scenario` doubles as a fast fidelity gate.
+    // check, so `figures --scenario` doubles as a fast fidelity gate. Energy
+    // balance over the whole network, no node below ambient, and the
+    // hottest node inside the union of the silicon planes.
     let power_in: f64 = cell_power.iter().sum();
     let heat_out: f64 =
         circuit.ambient_conductance().iter().zip(&state).map(|(g, t)| g * (t - ambient)).sum();
@@ -1124,9 +1234,6 @@ pub fn run_in(
             format!("energy balance violated: {power_in:.6} W in vs {heat_out:.6} W out (rel {energy_rel:.3e})"),
         ));
     }
-    let n_cells = mapping.cell_count();
-    let si_lo = stack.si_index * n_cells;
-    let si = &state[si_lo..si_lo + n_cells];
     let global_max = state.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let global_min = state.iter().copied().fold(f64::INFINITY, f64::min);
     if global_min < ambient - BELOW_AMBIENT_TOL {
@@ -1135,21 +1242,32 @@ pub fn run_in(
             format!("maximum principle violated: node at {global_min:.4} K below ambient {ambient:.4} K"),
         ));
     }
-    let si_max = si.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    // Each placement's silicon plane; a free-standing board's lone stack
+    // carries no board metadata.
+    let si_planes: Vec<&[f64]> = match circuit.board_nodes() {
+        Some(bn) => {
+            bn.placements.iter().map(|p| &state[p.si_plane * n_cells..][..n_cells]).collect()
+        }
+        None => vec![circuit.silicon_slice(&state)],
+    };
+    let si_max =
+        si_planes.iter().flat_map(|si| si.iter().copied()).fold(f64::NEG_INFINITY, f64::max);
     if power_in > 0.0 && si_max + BELOW_AMBIENT_TOL < global_max {
         return Err(err(
             0,
             format!(
-                "maximum principle violated: hottest node ({global_max:.4} K) is outside the powered silicon layer (max {si_max:.4} K)"
+                "maximum principle violated: hottest node ({global_max:.4} K) is outside every silicon layer (max {si_max:.4} K)"
             ),
         ));
     }
-    let si_mean = si.iter().sum::<f64>() / n_cells as f64;
-    let blocks: Vec<(String, f64)> = plan
-        .blocks()
-        .iter()
-        .enumerate()
-        .map(|(b, block)| {
+    let si_sum: f64 = si_planes.iter().map(|si| si.iter().sum::<f64>()).sum();
+    let si_mean = si_sum / (si_planes.len() * n_cells) as f64;
+
+    // Area-weighted block temperatures, namespaced `{place}/{block}` on a
+    // board.
+    let mut blocks = Vec::new();
+    for ((die, mapping), si) in dies.iter().zip(&mappings).zip(&si_planes) {
+        for (b, block) in die.plan.blocks().iter().enumerate() {
             let mut acc = 0.0;
             let mut wsum = 0.0;
             for &(ci, frac) in mapping.cells_of_block(b) {
@@ -1157,9 +1275,65 @@ pub fn run_in(
                 wsum += frac;
             }
             let t = if wsum > 0.0 { kelvin_to_celsius(acc / wsum) } else { sc.ambient_c };
-            (block.name().to_owned(), t)
-        })
-        .collect();
+            let name = match die.place {
+                Some(place) => format!("{place}/{}", block.name()),
+                None => block.name().to_owned(),
+            };
+            blocks.push((name, t));
+        }
+    }
+
+    // Board readouts: per-placement silicon stats with the PCB temperature
+    // under each footprint, and the PCB plane itself.
+    let mut placements = Vec::new();
+    let mut pcb = None;
+    if let (Some(bn), Some(spec)) = (circuit.board_nodes(), &board.pcb) {
+        let pcb_plane = &state[bn.pcb_plane * n_cells..][..n_cells];
+        let (dx, dy) = (spec.width / cols as f64, spec.height / rows as f64);
+        for (place, si) in board.placements.iter().zip(&si_planes) {
+            // PCB cells whose centers fall under the placement footprint;
+            // the footprint-center cell is the fallback when none do
+            // (footprint smaller than one PCB cell).
+            let (fw, fh) = place.footprint();
+            let mut acc = 0.0;
+            let mut cnt = 0usize;
+            for r in 0..rows {
+                let cy = (r as f64 + 0.5) * dy;
+                if cy < place.y || cy > place.y + fh {
+                    continue;
+                }
+                for c in 0..cols {
+                    let cx = (c as f64 + 0.5) * dx;
+                    if cx >= place.x && cx <= place.x + fw {
+                        acc += pcb_plane[r * cols + c];
+                        cnt += 1;
+                    }
+                }
+            }
+            let pcb_under = if cnt > 0 {
+                acc / cnt as f64
+            } else {
+                let r = (((place.y + fh / 2.0) / dy) as usize).min(rows - 1);
+                let c = (((place.x + fw / 2.0) / dx) as usize).min(cols - 1);
+                pcb_plane[r * cols + c]
+            };
+            placements.push(PlacementReport {
+                name: place.name.clone(),
+                silicon_max_c: kelvin_to_celsius(
+                    si.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                ),
+                silicon_mean_c: kelvin_to_celsius(si.iter().sum::<f64>() / n_cells as f64),
+                pcb_under_c: kelvin_to_celsius(pcb_under),
+            });
+        }
+        pcb = Some(PcbReadout {
+            rows,
+            cols,
+            width: spec.width,
+            height: spec.height,
+            celsius: pcb_plane.iter().map(|&t| kelvin_to_celsius(t)).collect(),
+        });
+    }
 
     let silicon_max_c = kelvin_to_celsius(si_max);
     let silicon_mean_c = kelvin_to_celsius(si_mean);
@@ -1169,7 +1343,16 @@ pub fn run_in(
     table.set_meta("scenario", sc.name.clone());
     table.set_meta("grid", format!("{rows}x{cols}"));
     table.set_meta("solver", sc.solver.token());
-    table.set_meta("stack_hash", format!("{:016x}", stack.content_hash()));
+    let stack_hash = if board.pcb.is_some() {
+        let hash = board.content_hash();
+        table.set_meta("board_hash", format!("{hash:016x}"));
+        table.set_meta("placements", dies.len().to_string());
+        hash
+    } else {
+        let hash = board.placements[0].stack.content_hash();
+        table.set_meta("stack_hash", format!("{hash:016x}"));
+        hash
+    };
     table.set_meta("nodes", circuit.node_count().to_string());
     for (label, v) in [
         ("total_power_W", power_in),
@@ -1184,17 +1367,24 @@ pub fn run_in(
     }
     Ok(Solution {
         field_csv: sc.field.then(|| {
+            // Silicon fields in placement order; on a board each is
+            // introduced by a `# place <name>` comment row.
             let mut out = String::new();
-            for r in 0..rows {
-                let row: Vec<String> = (0..cols)
-                    .map(|c| format!("{:.6}", kelvin_to_celsius(si[r * cols + c])))
-                    .collect();
-                out.push_str(&row.join(","));
-                out.push('\n');
+            for (die, si) in dies.iter().zip(&si_planes) {
+                if let Some(place) = die.place {
+                    out.push_str(&format!("# place {place}\n"));
+                }
+                for r in 0..rows {
+                    let row: Vec<String> = (0..cols)
+                        .map(|c| format!("{:.6}", kelvin_to_celsius(si[r * cols + c])))
+                        .collect();
+                    out.push_str(&row.join(","));
+                    out.push('\n');
+                }
             }
             out
         }),
-        stack_hash: stack.content_hash(),
+        stack_hash,
         total_power_w: power_in,
         silicon_max_c,
         silicon_mean_c,
@@ -1204,8 +1394,8 @@ pub fn run_in(
         cache_hit,
         blocks,
         solve_stats,
-        placements: Vec::new(),
-        pcb: None,
+        placements,
+        pcb,
         table,
     })
 }
@@ -1238,250 +1428,6 @@ fn dispatch_steady(
             err(0, format!("spectral solver ineligible: {reason}"))
         }
         other => err(0, format!("steady solve failed: {other:?}")),
-    })
-}
-
-/// The board-scenario pipeline: lower every `[place]` to a placed stack,
-/// assemble the multi-die circuit through the cache, solve steady state
-/// with the shared solver dispatch, check board-aware physics invariants
-/// inline, and report per-placement silicon plus the PCB-under coupling
-/// column.
-fn run_board_in(
-    sc: &Scenario,
-    fidelity: Fidelity,
-    cache: &CircuitCache,
-) -> Result<Solution, ScenarioError> {
-    let bs = sc.board.as_ref().expect("run_board_in needs a [board] section");
-    let (rows, cols) = match fidelity {
-        Fidelity::Fast => (sc.rows.min(16), sc.cols.min(16)),
-        Fidelity::Paper => (sc.rows, sc.cols),
-    };
-    let mut board = Board::new(
-        rows,
-        cols,
-        PcbSpec {
-            width: bs.width,
-            height: bs.height,
-            thickness: bs.thickness,
-            material: bs.material,
-            bottom: bs.bottom.clone(),
-        },
-    );
-    for v in &bs.vias {
-        board = board.with_via(ViaField {
-            name: v.name.clone(),
-            x: v.x,
-            y: v.y,
-            width: v.width,
-            height: v.height,
-            conductance_per_area: v.sigma,
-        });
-    }
-    let mut plans = Vec::with_capacity(sc.places.len());
-    let mut mappings = Vec::with_capacity(sc.places.len());
-    for p in &sc.places {
-        let plan = plan_for(p.plan, p.width, p.height);
-        let (layers, si_index) = lower_layers(&p.layers, p.silicon.as_deref())
-            .map_err(|e| err(0, format!("placement `{}`: {}", p.name, e.message)))?;
-        let die = DieGeometry {
-            width: plan.width(),
-            height: plan.height(),
-            thickness: layers[si_index.min(layers.len() - 1)].thickness,
-        };
-        let stack = LayerStack::new(layers, si_index)
-            .with_bottom(Boundary::Insulated)
-            .with_top(p.top.clone());
-        board = board.with_placement(Placement {
-            name: p.name.clone(),
-            die,
-            stack,
-            x: p.x,
-            y: p.y,
-            rotation: p.rotation,
-        });
-        mappings.push(GridMapping::new(&plan, rows, cols));
-        plans.push(plan);
-    }
-    let board_hash = board.content_hash();
-    let (circuit, cache_hit) = cache
-        .get_or_build_board(&board, &mappings)
-        .map_err(|e| err(0, format!("invalid board: {e}")))?;
-    let bn = circuit.board_nodes().expect("PCB board circuit carries board metadata");
-
-    let n_cells = rows * cols;
-    let mut cell_power = vec![0.0; sc.places.len() * n_cells];
-    for (pi, p) in sc.places.iter().enumerate() {
-        let power = block_power_for(&p.power, p.plan, &plans[pi])
-            .map_err(|e| err(0, format!("placement `{}`: {}", p.name, e.message)))?;
-        let spread = mappings[pi].spread_block_values(power.values());
-        cell_power[pi * n_cells..(pi + 1) * n_cells].copy_from_slice(&spread);
-    }
-    let ambient = celsius_to_kelvin(sc.ambient_c);
-    let mut state = vec![ambient; circuit.node_count()];
-    let solve_stats = dispatch_steady(sc, &circuit, &cell_power, ambient, &mut state)?;
-
-    // Inline physics oracles, board form: energy balance over the whole
-    // network, no node below ambient, and the hottest node inside the
-    // union of the powered placements' silicon planes.
-    let power_in: f64 = cell_power.iter().sum();
-    let heat_out: f64 =
-        circuit.ambient_conductance().iter().zip(&state).map(|(g, t)| g * (t - ambient)).sum();
-    let energy_rel = (power_in - heat_out).abs() / power_in.abs().max(f64::MIN_POSITIVE);
-    if energy_rel > ENERGY_REL_TOL {
-        return Err(err(
-            0,
-            format!("energy balance violated: {power_in:.6} W in vs {heat_out:.6} W out (rel {energy_rel:.3e})"),
-        ));
-    }
-    let global_max = state.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let global_min = state.iter().copied().fold(f64::INFINITY, f64::min);
-    if global_min < ambient - BELOW_AMBIENT_TOL {
-        return Err(err(
-            0,
-            format!("maximum principle violated: node at {global_min:.4} K below ambient {ambient:.4} K"),
-        ));
-    }
-    let si_union_max = bn
-        .placements
-        .iter()
-        .flat_map(|p| {
-            let lo = p.si_plane * n_cells;
-            state[lo..lo + n_cells].iter().copied()
-        })
-        .fold(f64::NEG_INFINITY, f64::max);
-    if power_in > 0.0 && si_union_max + BELOW_AMBIENT_TOL < global_max {
-        return Err(err(
-            0,
-            format!(
-                "maximum principle violated: hottest node ({global_max:.4} K) is outside every silicon layer (max {si_union_max:.4} K)"
-            ),
-        ));
-    }
-
-    // Per-placement readouts: silicon stats, PCB-under coupling column,
-    // and block temperatures namespaced `{place}/{block}`.
-    let pcb_lo = bn.pcb_plane * n_cells;
-    let pcb_plane = &state[pcb_lo..pcb_lo + n_cells];
-    let (dx, dy) = (bs.width / cols as f64, bs.height / rows as f64);
-    let mut placements = Vec::with_capacity(sc.places.len());
-    let mut blocks = Vec::new();
-    let mut si_sum = 0.0;
-    let mut si_max = f64::NEG_INFINITY;
-    for (pi, p) in sc.places.iter().enumerate() {
-        let nodes = &bn.placements[pi];
-        let lo = nodes.si_plane * n_cells;
-        let si = &state[lo..lo + n_cells];
-        let p_max = si.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let p_mean = si.iter().sum::<f64>() / n_cells as f64;
-        si_sum += si.iter().sum::<f64>();
-        si_max = si_max.max(p_max);
-
-        // PCB cells whose centers fall under the placement footprint; the
-        // footprint-center cell is the fallback when none do (footprint
-        // smaller than one PCB cell).
-        let place = &board.placements[pi];
-        let (fw, fh) = place.footprint();
-        let mut acc = 0.0;
-        let mut cnt = 0usize;
-        for r in 0..rows {
-            let cy = (r as f64 + 0.5) * dy;
-            if cy < place.y || cy > place.y + fh {
-                continue;
-            }
-            for c in 0..cols {
-                let cx = (c as f64 + 0.5) * dx;
-                if cx >= place.x && cx <= place.x + fw {
-                    acc += pcb_plane[r * cols + c];
-                    cnt += 1;
-                }
-            }
-        }
-        let pcb_under = if cnt > 0 {
-            acc / cnt as f64
-        } else {
-            let r = (((place.y + fh / 2.0) / dy) as usize).min(rows - 1);
-            let c = (((place.x + fw / 2.0) / dx) as usize).min(cols - 1);
-            pcb_plane[r * cols + c]
-        };
-        placements.push(PlacementReport {
-            name: p.name.clone(),
-            silicon_max_c: kelvin_to_celsius(p_max),
-            silicon_mean_c: kelvin_to_celsius(p_mean),
-            pcb_under_c: kelvin_to_celsius(pcb_under),
-        });
-        for (b, block) in plans[pi].blocks().iter().enumerate() {
-            let mut bacc = 0.0;
-            let mut wsum = 0.0;
-            for &(ci, frac) in mappings[pi].cells_of_block(b) {
-                bacc += si[ci] * frac;
-                wsum += frac;
-            }
-            let t = if wsum > 0.0 { kelvin_to_celsius(bacc / wsum) } else { sc.ambient_c };
-            blocks.push((format!("{}/{}", p.name, block.name()), t));
-        }
-    }
-    let si_mean = si_sum / (sc.places.len() * n_cells) as f64;
-
-    let silicon_max_c = kelvin_to_celsius(si_max);
-    let silicon_mean_c = kelvin_to_celsius(si_mean);
-    let global_max_c = kelvin_to_celsius(global_max);
-    let global_min_c = kelvin_to_celsius(global_min);
-    let mut table = Table::new(sc.title.clone(), "metric", vec!["value".to_owned()]);
-    table.set_meta("scenario", sc.name.clone());
-    table.set_meta("grid", format!("{rows}x{cols}"));
-    table.set_meta("solver", sc.solver.token());
-    table.set_meta("board_hash", format!("{board_hash:016x}"));
-    table.set_meta("placements", sc.places.len().to_string());
-    table.set_meta("nodes", circuit.node_count().to_string());
-    for (label, v) in [
-        ("total_power_W", power_in),
-        ("ambient_C", sc.ambient_c),
-        ("silicon_max_C", silicon_max_c),
-        ("silicon_mean_C", silicon_mean_c),
-        ("global_max_C", global_max_c),
-        ("global_min_C", global_min_c),
-        ("energy_rel_err", energy_rel),
-    ] {
-        table.push(Row::new(label, vec![v]));
-    }
-    Ok(Solution {
-        field_csv: sc.field.then(|| {
-            // Per-placement silicon fields stacked in placement order, each
-            // introduced by a `# place <name>` comment row.
-            let mut out = String::new();
-            for (pi, p) in sc.places.iter().enumerate() {
-                let lo = bn.placements[pi].si_plane * n_cells;
-                let si = &state[lo..lo + n_cells];
-                out.push_str(&format!("# place {}\n", p.name));
-                for r in 0..rows {
-                    let row: Vec<String> = (0..cols)
-                        .map(|c| format!("{:.6}", kelvin_to_celsius(si[r * cols + c])))
-                        .collect();
-                    out.push_str(&row.join(","));
-                    out.push('\n');
-                }
-            }
-            out
-        }),
-        stack_hash: board_hash,
-        total_power_w: power_in,
-        silicon_max_c,
-        silicon_mean_c,
-        global_max_c,
-        global_min_c,
-        energy_rel,
-        cache_hit,
-        blocks,
-        solve_stats,
-        placements,
-        pcb: Some(PcbReadout {
-            rows,
-            cols,
-            width: bs.width,
-            height: bs.height,
-            celsius: pcb_plane.iter().map(|&t| kelvin_to_celsius(t)).collect(),
-        }),
-        table,
     })
 }
 
@@ -1572,6 +1518,20 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_numbers_name_line_and_key() {
+        let base = "[scenario]\nname = x\n[die]\nplan = uniform\nwidth = 0.01\nheight = 0.01\n\
+                    [grid]\nrows = 8\ncols = 8\n[stack]\nlayer = silicon silicon 5e-4\n\
+                    top = lumped 1 10\n";
+        let e = parse(&format!("{base}[power]\nsource = uniform NaN\n")).expect_err("NaN watts");
+        assert_eq!(e.line, 14);
+        assert!(e.message.contains("bad number `NaN` for key `source`"), "{e}");
+        let e = parse(&format!("{base}[power]\nsource = uniform 5\n[solve]\nambient = inf\n"))
+            .expect_err("infinite ambient");
+        assert_eq!(e.line, 16);
+        assert!(e.message.contains("bad number `inf` for key `ambient`"), "{e}");
+    }
+
+    #[test]
     fn missing_section_is_reported() {
         let text = "[scenario]\nname = x\n[grid]\nrows = 8\ncols = 8\n";
         let e = parse(text).expect_err("no stack");
@@ -1631,6 +1591,7 @@ mod tests {
                     [power]\nsource = uniform 10\n";
         let sc = parse(text).expect("parses");
         let e = run(&sc, Fidelity::Fast).expect_err("undersized plate");
+        assert!(e.message.starts_with("invalid stack: "), "no placement to name: {e}");
         assert!(e.message.contains("spreader"), "names the offending layer: {e}");
     }
 
@@ -1681,6 +1642,86 @@ mod tests {
     fn shipped(name: &str) -> Scenario {
         let (_, text) = SHIPPED.iter().find(|(n, _)| *n == name).unwrap();
         parse(text).expect("shipped scenario parses")
+    }
+
+    /// FNV-1a digest of everything an assembled circuit carries: the CSR
+    /// structure and value bits, capacitance and ambient-conductance bits,
+    /// node kinds and layer names.
+    fn circuit_digest(c: &hotiron_thermal::circuit::ThermalCircuit) -> u64 {
+        use hotiron_thermal::circuit::NodeKind;
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        let g = c.conductance();
+        g.row_offsets().iter().for_each(|v| eat(&v.to_le_bytes()));
+        g.col_indices().iter().for_each(|v| eat(&v.to_le_bytes()));
+        g.values().iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
+        c.capacitance().iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
+        c.ambient_conductance().iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
+        for k in c.node_kinds() {
+            let (tag, layer) = match *k {
+                NodeKind::Cell { layer } => (0u8, layer),
+                NodeKind::Ring { layer } => (1, layer),
+                NodeKind::Coolant => (2, 0),
+                NodeKind::Oil => (3, 0),
+            };
+            eat(&[tag]);
+            eat(&(layer as u64).to_le_bytes());
+        }
+        for name in c.layer_names() {
+            eat(name.as_bytes());
+            eat(&[0xff]);
+        }
+        h
+    }
+
+    /// Digests of every shipped single-die scenario's circuit at the 16×16
+    /// fast grid and at its own paper grid, recorded from the dedicated
+    /// single-stack assembler before single dies became one-placement
+    /// boards. Any drift here changes every single-die result.
+    const SINGLE_DIE_DIGESTS: &[(&str, u64, u64)] = &[
+        ("paper-air", 0xea6b_6486_d579_e654, 0x06ae_8ca6_cbf8_7d6f),
+        ("paper-oil", 0x0482_bd6c_70b0_4164, 0x9ea6_0e53_db01_b40c),
+        ("athlon-hotspot", 0x9f51_593e_0af5_a0bf, 0x684c_c80a_0ee7_5e44),
+        ("bare-die-forced-air", 0x9d93_807f_7f6c_bda3, 0x350a_be4e_0590_4d1d),
+        ("oil-washed-spreader", 0xee00_f8a1_1e68_9772, 0xcd05_8240_a733_22a3),
+    ];
+
+    #[test]
+    fn single_die_circuits_match_pinned_digests() {
+        use hotiron_thermal::circuit::build_circuit_from_stack;
+        let single: Vec<&str> =
+            SHIPPED.iter().map(|(n, _)| *n).filter(|n| shipped(n).board.is_none()).collect();
+        let mut seen = Vec::new();
+        for name in &single {
+            let sc = shipped(name);
+            let plan = sc.floorplan();
+            let stack = sc.stack().expect("lowers");
+            let die = DieGeometry {
+                width: plan.width(),
+                height: plan.height(),
+                thickness: stack.layers[stack.si_index].thickness,
+            };
+            let digest = |rows: usize, cols: usize| {
+                let m = GridMapping::new(&plan, rows, cols);
+                circuit_digest(&build_circuit_from_stack(&m, die, &stack).expect("assembles"))
+            };
+            let fast = digest(sc.rows.min(16), sc.cols.min(16));
+            let paper = digest(sc.rows, sc.cols);
+            seen.push((*name, fast, paper));
+            // The scenario pipeline runs on the same cached circuit.
+            let cache = CircuitCache::new(4);
+            run_in(&sc, Fidelity::Fast, &cache).expect("runs");
+            let m = GridMapping::new(&plan, sc.rows.min(16), sc.cols.min(16));
+            let (c, hit) = cache.get_or_build(&m, die, &stack).expect("assembles");
+            assert!(hit, "{name}: the pipeline's circuit shares the stack's cache entry");
+            assert_eq!(circuit_digest(&c), fast, "{name}");
+        }
+        assert_eq!(seen, SINGLE_DIE_DIGESTS, "single-die circuits drifted");
     }
 
     #[test]

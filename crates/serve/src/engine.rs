@@ -3,10 +3,10 @@
 //!
 //! Coalescing sits *above* the LRU: concurrent identical requests elect one
 //! leader that runs the full pipeline while followers block on a condvar and
-//! share the leader's [`Solution`]. The in-flight key folds in the lowered
-//! stack's [`content_hash`](hotiron_thermal::LayerStack::content_hash), the
-//! canonical `.scn` text of the *effective* scenario (after power overrides)
-//! and the fidelity tier — two requests coalesce exactly when they would run
+//! share the leader's [`Solution`]. The in-flight key hashes the canonical
+//! `.scn` text of the *effective* scenario (after power and solver
+//! overrides), which pins every layer, placement and via field, plus the
+//! fidelity tier — two requests coalesce exactly when they would run
 //! byte-identical pipelines. Because followers never call into the cache,
 //! `misses == 1 && hits == 0` on a fresh cache is proof that N concurrent
 //! identical requests assembled exactly one circuit.
@@ -15,7 +15,7 @@ use crate::json::{obj, Json};
 use crate::protocol::{FidelityTier, ScenarioSource, SolveRequest};
 use hotiron_bench::common::{self, Fidelity};
 use hotiron_bench::scenario::{self, PlanKind, PowerSpec, Scenario, Solution, SolverSpec};
-use hotiron_thermal::{CircuitCache, LayerStack};
+use hotiron_thermal::CircuitCache;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,20 +102,9 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-fn coalesce_key(stack: &LayerStack, sc: &Scenario, fidelity: Fidelity) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &stack.content_hash().to_le_bytes());
-    h = fnv1a(h, sc.to_scn().as_bytes());
-    fnv1a(h, fidelity.pick(b"fast".as_slice(), b"paper".as_slice()))
-}
-
-/// The board form of the coalesce key. Board scenarios have no single stack
-/// to hash (and an empty-layer placeholder that must never be lowered); the
-/// canonical `.scn` text alone already pins every placement, via field and
-/// override, so hashing it with a domain tag keeps board and stack keys
-/// disjoint.
-fn coalesce_key_board(sc: &Scenario, fidelity: Fidelity) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, b"board");
-    h = fnv1a(h, sc.to_scn().as_bytes());
+/// The in-flight key: canonical scenario text plus fidelity.
+fn coalesce_key(sc: &Scenario, fidelity: Fidelity) -> u64 {
+    let h = fnv1a(FNV_OFFSET, sc.to_scn().as_bytes());
     fnv1a(h, fidelity.pick(b"fast".as_slice(), b"paper".as_slice()))
 }
 
@@ -221,12 +210,7 @@ impl Engine {
     /// leader's error verbatim.
     pub fn solve(&self, req: &SolveRequest) -> Result<(Arc<Solution>, Disposition), EngineError> {
         let (sc, fidelity) = self.resolve(req)?;
-        let key = if sc.board.is_some() {
-            coalesce_key_board(&sc, fidelity)
-        } else {
-            let stack = sc.stack().map_err(|e| unprocessable(e.to_string()))?;
-            coalesce_key(&stack, &sc, fidelity)
-        };
+        let key = coalesce_key(&sc, fidelity);
 
         let (entry, leader) = {
             let mut inflight = self.inflight.lock().expect("inflight table poisoned");
@@ -376,6 +360,24 @@ mod tests {
         let e = engine.solve(&req).unwrap_err();
         assert_eq!(e.code, 422);
         assert!(e.message.contains("line 3"), "{e}");
+    }
+
+    #[test]
+    fn non_finite_inline_power_is_422_and_the_engine_keeps_serving() {
+        let engine = Engine::new(8);
+        let mut req = named("x");
+        req.scenario = ScenarioSource::Inline(
+            "[scenario]\nname = nan\n[die]\nplan = uniform\nwidth = 0.01\nheight = 0.01\n\
+             [grid]\nrows = 8\ncols = 8\n[stack]\nlayer = silicon silicon 5e-4\n\
+             top = lumped 1 10\n[power]\nsource = uniform NaN\n"
+                .into(),
+        );
+        let e = engine.solve(&req).unwrap_err();
+        assert_eq!(e.code, 422, "{e}");
+        assert!(e.message.contains("line 14") && e.message.contains("`source`"), "{e}");
+        let (sol, _) = engine.solve(&named("paper-oil")).expect("engine still answers");
+        assert!(sol.solve_stats.converged);
+        assert_eq!(engine.inflight_len(), 0);
     }
 
     #[test]

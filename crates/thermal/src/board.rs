@@ -11,15 +11,14 @@
 //! explicit ([`Board::validate`] returns a typed [`BoardError`] naming the
 //! offending placement, via or PCB parameter), and every board has a
 //! deterministic FNV-1a [`content hash`](Board::content_hash) extending the
-//! stack scheme, so assembled board circuits flow through the same bounded
-//! circuit cache as single-stack circuits.
+//! stack scheme, which keys the bounded circuit cache.
 //!
-//! A board with no PCB (`pcb: None`, built via [`Board::free_standing`])
-//! holds exactly one placement and lowers to **bitwise-identically** the
-//! same circuit as
-//! [`build_circuit_from_stack`](crate::circuit::build_circuit_from_stack) —
-//! the anchor that keeps every single-package golden at zero drift while the
-//! assembler itself is shared.
+//! A board with no PCB (`pcb: None`, built via [`Board::solo`]) holds
+//! exactly one placement. That degenerate form is how a bare stack is
+//! assembled:
+//! [`build_circuit_from_stack`](crate::circuit::build_circuit_from_stack),
+//! the circuit cache and single-die scenarios all lower through it, so there
+//! is one assembler and one cache key for every circuit.
 //!
 //! # Grid discipline
 //!
@@ -197,9 +196,14 @@ impl Board {
         Self { rows, cols, pcb: Some(pcb), placements: Vec::new(), vias: Vec::new() }
     }
 
-    /// The degenerate single-package board: no PCB, one placement. Lowers
-    /// bitwise-identically to the placement's own stack circuit.
-    pub fn free_standing(rows: usize, cols: usize, placement: Placement) -> Self {
+    /// The degenerate single-package board a bare stack assembles as: no
+    /// PCB, one placement of `stack` over `die` at the origin, unrotated,
+    /// under a fixed name. The name is fixed so that the
+    /// [`content_hash`](Self::content_hash) — the circuit cache key —
+    /// depends only on the die, the grid and the stack.
+    pub fn solo(rows: usize, cols: usize, die: DieGeometry, stack: LayerStack) -> Self {
+        let placement =
+            Placement { name: "die".into(), die, stack, x: 0.0, y: 0.0, rotation: Rotation::R0 };
         Self { rows, cols, pcb: None, placements: vec![placement], vias: Vec::new() }
     }
 

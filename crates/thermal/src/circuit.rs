@@ -12,9 +12,10 @@
 //!
 //! with `T` in kelvin and `P` in watts.
 //!
-//! The assembler consumes only the open [`LayerStack`] IR
-//! (`crate::stack`); the closed [`Package`] enum reaches it exclusively by
-//! lowering through [`Package::to_stack`]. Invalid stacks surface as typed
+//! There is one assembler, and it consumes the [`Board`] IR: a bare
+//! [`LayerStack`] is assembled as a one-placement board without a PCB
+//! ([`Board::solo`]), and the closed [`Package`] enum reaches it by lowering
+//! through [`Package::to_stack`]. Invalid stacks surface as typed
 //! [`StackError`]s instead of panics.
 //!
 //! # Discretization
@@ -48,7 +49,7 @@ use crate::greens;
 use crate::multigrid::{MgOptions, Multigrid};
 use crate::package::Package;
 use crate::sparse::{CsrMatrix, TripletMatrix};
-use crate::stack::{Boundary, Fnv, Layer, LayerStack, StackError};
+use crate::stack::{Boundary, Layer, LayerStack, StackError};
 use hotiron_floorplan::GridMapping;
 
 pub use crate::stack::DieGeometry;
@@ -89,8 +90,9 @@ pub struct PlacementNodes {
 
 /// Node-numbering metadata of a PCB-coupled board circuit: which planes
 /// belong to which placement and where the shared PCB plane sits. Present
-/// only on circuits assembled from a [`Board`] with a PCB; free-standing
-/// single-placement boards lower to plain stack circuits and carry none.
+/// only on circuits assembled from a [`Board`] with a PCB; a free-standing
+/// single-placement board numbers its nodes exactly as a lone stack and
+/// carries none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoardNodes {
     /// Per-placement plane spans, in placement order.
@@ -175,8 +177,8 @@ impl ThermalCircuit {
     }
 
     /// Board node-numbering metadata when this circuit was assembled from a
-    /// PCB-coupled [`Board`]; `None` for single-stack circuits (including
-    /// free-standing single-placement boards, which lower identically).
+    /// PCB-coupled [`Board`]; `None` for free-standing single-placement
+    /// boards, whose silicon plane is [`si_offset`](Self::si_offset).
     pub fn board_nodes(&self) -> Option<&BoardNodes> {
         self.board.as_ref()
     }
@@ -343,7 +345,8 @@ pub fn build_circuit(
     build_circuit_from_stack(mapping, die, &stack)
 }
 
-/// Builds the RC network directly from a [`LayerStack`].
+/// Builds the RC network directly from a [`LayerStack`], assembled as the
+/// one-placement board [`Board::solo`].
 ///
 /// # Errors
 ///
@@ -354,32 +357,8 @@ pub fn build_circuit_from_stack(
     stack: &LayerStack,
 ) -> Result<ThermalCircuit, StackError> {
     stack.validate(die)?;
-    Ok(assemble(mapping, die, stack))
-}
-
-/// Cache key: everything [`assemble`] reads. The grid mapping contributes
-/// only its resolution and cell geometry, both derived from `die` and
-/// `rows`/`cols`, so two floorplans over the same die share circuits.
-fn circuit_cache_key(die: DieGeometry, rows: usize, cols: usize, stack: &LayerStack) -> u64 {
-    let mut h = Fnv::new();
-    h.f64(die.width);
-    h.f64(die.height);
-    h.f64(die.thickness);
-    h.usize(rows);
-    h.usize(cols);
-    h.u64(stack.content_hash());
-    h.finish()
-}
-
-/// Board cache key: a tagged wrapper over [`Board::content_hash`], which
-/// already covers the shared grid resolution and every placement's die and
-/// stack. The tag keeps board keys disjoint from stack keys sharing one
-/// [`CircuitCache`].
-fn board_circuit_cache_key(board: &Board) -> u64 {
-    let mut h = Fnv::new();
-    h.str("board-circuit");
-    h.u64(board.content_hash());
-    h.finish()
+    let board = Board::solo(mapping.rows(), mapping.cols(), die, stack.clone());
+    Ok(assemble_board(&board, std::slice::from_ref(mapping)))
 }
 
 /// Point-in-time view of a [`CircuitCache`]'s counters and occupancy.
@@ -409,8 +388,11 @@ struct LruState {
     tick: u64,
 }
 
-/// A bounded LRU cache of assembled circuits, keyed by stack content hash +
-/// die geometry + grid resolution.
+/// A bounded LRU cache of assembled circuits, keyed by
+/// [`Board::content_hash`] — the grid resolution plus every placement's die
+/// and stack. A bare stack is cached as its [`Board::solo`] board, so a
+/// [`ThermalModel`](crate::ThermalModel) and a single-die scenario over the
+/// same die, grid and stack share one entry.
 ///
 /// The cache holds strong [`Arc`]s, so at most `capacity` circuits (plus
 /// whatever callers still reference) are alive at once; inserting into a
@@ -467,18 +449,15 @@ impl CircuitCache {
         PROCESS.get_or_init(|| CircuitCache::new(PROCESS_CACHE_CAPACITY))
     }
 
-    /// Returns the cached circuit for (stack, die, grid), assembling and
-    /// inserting it on a miss. The boolean reports the disposition: `true`
-    /// for a cache hit, `false` when this call assembled the circuit.
-    ///
-    /// Assembly runs outside the cache lock so concurrent builds of
-    /// *different* circuits don't serialize; a lost race on the same key
-    /// builds one bit-identical circuit twice, keeps the first inserted and
-    /// reports a hit.
+    /// Returns the cached circuit for (stack, die, grid): the stack's
+    /// [`Board::solo`] board through [`get_or_build_board`]'s key and build
+    /// path, with the stack's own validation error.
     ///
     /// # Errors
     ///
     /// Any [`StackError`] from [`LayerStack::validate`].
+    ///
+    /// [`get_or_build_board`]: Self::get_or_build_board
     pub fn get_or_build(
         &self,
         mapping: &GridMapping,
@@ -486,19 +465,18 @@ impl CircuitCache {
         stack: &LayerStack,
     ) -> Result<(Arc<ThermalCircuit>, bool), StackError> {
         stack.validate(die)?;
-        let key = circuit_cache_key(die, mapping.rows(), mapping.cols(), stack);
-        if let Some(hit) = self.touch(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit, true));
-        }
-        let built = Arc::new(assemble(mapping, die, stack));
-        Ok(self.insert_or_adopt(key, built))
+        let board = Board::solo(mapping.rows(), mapping.cols(), die, stack.clone());
+        Ok(self.lookup_or_assemble(&board, std::slice::from_ref(mapping)))
     }
 
-    /// Returns the cached circuit for a whole board, assembling and
-    /// inserting it on a miss — the board analogue of
-    /// [`get_or_build`](Self::get_or_build), sharing the same LRU store and
-    /// counters (board and stack keys live in disjoint key spaces).
+    /// Returns the cached circuit for a board, assembling and inserting it on
+    /// a miss. The boolean reports the disposition: `true` for a cache hit,
+    /// `false` when this call assembled the circuit.
+    ///
+    /// Assembly runs outside the cache lock so concurrent builds of
+    /// *different* circuits don't serialize; a lost race on the same key
+    /// builds one bit-identical circuit twice, keeps the first inserted and
+    /// reports a hit.
     ///
     /// # Errors
     ///
@@ -512,13 +490,22 @@ impl CircuitCache {
     ) -> Result<(Arc<ThermalCircuit>, bool), BoardError> {
         board.validate()?;
         check_board_mappings(board, mappings)?;
-        let key = board_circuit_cache_key(board);
+        Ok(self.lookup_or_assemble(board, mappings))
+    }
+
+    /// The one build path: looks a validated board up by its content hash,
+    /// assembling and inserting it on a miss.
+    fn lookup_or_assemble(
+        &self,
+        board: &Board,
+        mappings: &[GridMapping],
+    ) -> (Arc<ThermalCircuit>, bool) {
+        let key = board.content_hash();
         if let Some(hit) = self.touch(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit, true));
+            return (hit, true);
         }
-        let built = Arc::new(assemble_board(board, mappings));
-        Ok(self.insert_or_adopt(key, built))
+        self.insert_or_adopt(key, Arc::new(assemble_board(board, mappings)))
     }
 
     /// Inserts a freshly assembled circuit, or adopts a racing insert of the
@@ -616,8 +603,8 @@ pub fn build_circuit_cached(
 
 /// Per-stack assembly geometry shared by the stamping helpers. One instance
 /// describes one placed stack: its layers, die, grid mapping and the global
-/// plane index its layer 0 starts at (`plane_base` — 0 for a plain stack
-/// circuit). All planes in a circuit share one `rows × cols` resolution, so
+/// plane index its layer 0 starts at (`plane_base` — 0 for the first
+/// placement). All planes in a circuit share one `rows × cols` resolution, so
 /// layer `l`, cell `c` of this stack is node
 /// `(plane_base + l) * n_cells + c`.
 struct StackGeom<'a> {
@@ -836,150 +823,18 @@ fn stamp_boundary(
     }
 }
 
-/// Folds accumulated stamps into the final matrices. Shared tail of the
-/// stack and board assemblers; the stamp *order* is part of the circuit's
-/// identity (triplet insertion order is preserved into the CSR), so both
-/// assemblers feed this with identically ordered streams for identical
-/// configurations.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    n: usize,
-    mut cap: Vec<f64>,
-    extra_caps: Vec<(usize, f64)>,
-    stamps: Vec<(usize, usize, f64)>,
-    grounded: Vec<(usize, f64)>,
-    kinds: Vec<NodeKind>,
-    layer_names: Vec<String>,
-    si_offset: usize,
-    n_cells: usize,
-    rows: usize,
-    cols: usize,
-    board: Option<BoardNodes>,
-) -> ThermalCircuit {
-    cap.resize(n, 0.0);
-    for (node, c) in extra_caps {
-        cap[node] += c;
-    }
-    let mut ambient_g = vec![0.0; n];
-    let mut t = TripletMatrix::new(n);
-    for (a, b, g) in stamps {
-        t.stamp_conductance(a, b, g);
-    }
-    for (node, g) in grounded {
-        t.stamp_grounded_conductance(node, g);
-        ambient_g[node] += g;
-    }
-    let g = t.to_csr();
-    debug_assert!(g.is_symmetric(1e-9), "conductance matrix must be symmetric");
-
-    ThermalCircuit {
-        g,
-        cap,
-        ambient_g,
-        kinds,
-        layer_names,
-        si_offset,
-        n_cells,
-        rows,
-        cols,
-        board,
-        mg: OnceLock::new(),
-        ldlt: OnceLock::new(),
-        spectral: OnceLock::new(),
-    }
-}
-
-/// Assembles a validated stack. Callers must run [`LayerStack::validate`]
-/// first; this function assumes a well-formed stack.
-fn assemble(mapping: &GridMapping, die: DieGeometry, stack: &LayerStack) -> ThermalCircuit {
-    let layers = &stack.layers;
-    let (rows, cols) = (mapping.rows(), mapping.cols());
-    let n_cells = rows * cols;
-    let nl = layers.len();
-
-    // ---- node numbering ----
-    // cells: layer l, cell c -> l*n_cells + c
-    // rings: after all cells, in layer order
-    // boundary nodes: appended by the attachment stampers
-    let mut ring_of = vec![None; nl];
-    let mut next = nl * n_cells;
-    for (l, def) in layers.iter().enumerate() {
-        if let Some(side) = def.side {
-            debug_assert!(
-                side >= die.width.max(die.height),
-                "validate() admits no plate smaller than the die (`{}`)",
-                def.name
-            );
-            ring_of[l] = Some(next);
-            next += 1;
-        }
-    }
-    let mut kinds = vec![NodeKind::Cell { layer: 0 }; next];
-    for (l, _) in layers.iter().enumerate() {
-        for c in 0..n_cells {
-            kinds[l * n_cells + c] = NodeKind::Cell { layer: l };
-        }
-        if let Some(r) = ring_of[l] {
-            kinds[r] = NodeKind::Ring { layer: l };
-        }
-    }
-
-    let geom = StackGeom::new(mapping, die, layers, 0, &ring_of);
-    let mut extra_caps: Vec<(usize, f64)> = Vec::new();
-    let mut stamps: Vec<(usize, usize, f64)> = Vec::new(); // node-node conductances
-    let mut grounded: Vec<(usize, f64)> = Vec::new(); // node-ambient conductances
-
-    stamp_in_plane(&geom, &mut stamps);
-    stamp_vertical(&geom, &mut stamps);
-
-    let mut cap = vec![0.0; next];
-    fill_caps(&geom, &mut cap);
-
-    let mut next_node = next;
-    for (att, layer) in [(&stack.top, nl - 1), (&stack.bottom, 0)] {
-        stamp_boundary(
-            &geom,
-            att,
-            layer,
-            &mut stamps,
-            &mut grounded,
-            &mut extra_caps,
-            &mut kinds,
-            &mut next_node,
-        );
-    }
-
-    let layer_names = layers.iter().map(|l| l.name.clone()).collect();
-    finalize(
-        next_node,
-        cap,
-        extra_caps,
-        stamps,
-        grounded,
-        kinds,
-        layer_names,
-        stack.si_index * n_cells,
-        n_cells,
-        rows,
-        cols,
-        None,
-    )
-}
-
-/// Assembles a validated board. Callers must run [`Board::validate`] and the
-/// grid-mapping checks of [`build_circuit_from_board`] first.
+/// Assembles a validated board — the only assembler. Callers must run
+/// [`Board::validate`] (or, for a [`Board::solo`] board,
+/// [`LayerStack::validate`]) and the grid-mapping checks of
+/// [`build_circuit_from_board`] first.
 ///
-/// Node numbering extends the stack scheme: every placement's cell planes
-/// come first (in placement order, each placement's layers bottom→top), then
-/// the PCB plane, then rings (per placement, per oversized layer, in order),
-/// then boundary nodes in stamping order. All planes share the board's
-/// `rows × cols` resolution, so plane `l` starts at `l * n_cells` — exactly
-/// the uniform-plane layout the multigrid hierarchy coarsens; the
-/// placement→PCB couplings land in its lossless unstructured remainder.
-///
-/// With one placement and no PCB, every pass reduces to the stack
-/// assembler's sequence, so free-standing boards lower bitwise-identically
-/// to [`build_circuit_from_stack`].
+/// Node numbering: every placement's cell planes come first (in placement
+/// order, each placement's layers bottom→top), then the PCB plane, then
+/// rings (per placement, per oversized layer, in order), then boundary
+/// nodes in stamping order. All planes share the board's `rows × cols`
+/// resolution, so plane `l` starts at `l * n_cells` — exactly the
+/// uniform-plane layout the multigrid hierarchy coarsens; the placement→PCB
+/// couplings land in its lossless unstructured remainder.
 fn assemble_board(board: &Board, mappings: &[GridMapping]) -> ThermalCircuit {
     let (rows, cols) = (board.rows, board.cols);
     let n_cells = rows * cols;
@@ -1010,8 +865,8 @@ fn assemble_board(board: &Board, mappings: &[GridMapping]) -> ThermalCircuit {
     }
 
     // ---- node kinds and layer names ----
-    // Free-standing single boards keep bare layer names (they ARE a plain
-    // stack circuit); PCB boards qualify each as "placement/layer".
+    // Free-standing single boards keep bare layer names (a lone stack);
+    // PCB boards qualify each as "placement/layer".
     let mut layer_names: Vec<String> = Vec::with_capacity(all_planes);
     let mut kinds = vec![NodeKind::Cell { layer: 0 }; next];
     for (pi, p) in board.placements.iter().enumerate() {
@@ -1178,20 +1033,42 @@ fn assemble_board(board: &Board, mappings: &[GridMapping]) -> ThermalCircuit {
         pcb_plane: pp,
     });
     let si_offset = (plane_bases[0] + board.placements[0].stack.si_index) * n_cells;
-    finalize(
-        next_node,
+
+    // ---- fold the stamps into the final matrices; the stamp *order* is
+    // part of the circuit's identity (triplet insertion order is preserved
+    // into the CSR) ----
+    let n = next_node;
+    cap.resize(n, 0.0);
+    for (node, c) in extra_caps {
+        cap[node] += c;
+    }
+    let mut ambient_g = vec![0.0; n];
+    let mut t = TripletMatrix::new(n);
+    for (a, b, g) in stamps {
+        t.stamp_conductance(a, b, g);
+    }
+    for (node, g) in grounded {
+        t.stamp_grounded_conductance(node, g);
+        ambient_g[node] += g;
+    }
+    let g = t.to_csr();
+    debug_assert!(g.is_symmetric(1e-9), "conductance matrix must be symmetric");
+
+    ThermalCircuit {
+        g,
         cap,
-        extra_caps,
-        stamps,
-        grounded,
+        ambient_g,
         kinds,
         layer_names,
         si_offset,
         n_cells,
         rows,
         cols,
-        board_nodes,
-    )
+        board: board_nodes,
+        mg: OnceLock::new(),
+        ldlt: OnceLock::new(),
+        spectral: OnceLock::new(),
+    }
 }
 
 /// Checks that `mappings` matches the board: one mapping per placement, each
@@ -1225,9 +1102,6 @@ fn check_board_mappings(board: &Board, mappings: &[GridMapping]) -> Result<(), B
 /// and via fields. `mappings` carries one [`GridMapping`] per placement (its
 /// floorplan spread over the placement's die), all at the board's shared
 /// grid resolution.
-///
-/// Free-standing single-placement boards (no PCB) lower bitwise-identically
-/// to [`build_circuit_from_stack`] over the same stack.
 ///
 /// # Errors
 ///
@@ -1611,52 +1485,6 @@ mod tests {
     }
 
     #[test]
-    fn free_standing_board_is_bitwise_identical_to_stack_circuit() {
-        // The acceptance anchor: a single-placement no-PCB board must lower
-        // through the general board assembler to EXACTLY the circuit
-        // `build_circuit_from_stack` produces — same node numbering, same
-        // stamp order, bit-equal floats.
-        let m = mapping(8, 8);
-        for stack in [
-            Package::OilSilicon(OilSiliconPackage::paper_default()).to_stack(die20()).unwrap(),
-            Package::AirSink(
-                AirSinkPackage::paper_default().with_secondary(SecondaryPath::for_air_system()),
-            )
-            .to_stack(die20())
-            .unwrap(),
-            LayerStack::new(vec![Layer::new("silicon", crate::materials::SILICON, 0.5e-3)], 0)
-                .with_top(Boundary::Lumped { r_total: 2.0, c_total: 30.0 }),
-        ] {
-            let via_stack = build_circuit_from_stack(&m, die20(), &stack).unwrap();
-            let board = Board::free_standing(
-                8,
-                8,
-                Placement {
-                    name: "solo".into(),
-                    die: die20(),
-                    stack: stack.clone(),
-                    x: 0.0,
-                    y: 0.0,
-                    rotation: Rotation::R0,
-                },
-            );
-            let via_board = build_circuit_from_board(&board, std::slice::from_ref(&m)).unwrap();
-            assert_eq!(via_board.node_count(), via_stack.node_count());
-            assert_eq!(via_board.layer_names(), via_stack.layer_names());
-            assert_eq!(via_board.node_kinds(), via_stack.node_kinds());
-            assert_eq!(via_board.si_offset(), via_stack.si_offset());
-            // Bitwise: capacitances, ambient couplings and the CSR itself.
-            assert_eq!(via_board.capacitance(), via_stack.capacitance());
-            assert_eq!(via_board.ambient_conductance(), via_stack.ambient_conductance());
-            let (gb, gs) = (via_board.conductance(), via_stack.conductance());
-            assert_eq!(gb.row_offsets(), gs.row_offsets());
-            assert_eq!(gb.col_indices(), gs.col_indices());
-            assert_eq!(gb.values(), gs.values());
-            assert!(via_board.board_nodes().is_none(), "free-standing = plain stack circuit");
-        }
-    }
-
-    #[test]
     fn board_circuit_structure() {
         let (board, mappings) = two_package_board(8, 8);
         let c = build_circuit_from_board(&board, &mappings).unwrap();
@@ -1773,11 +1601,16 @@ mod tests {
         let (c, hit_c) = cache.get_or_build_board(&moved, &mappings).unwrap();
         assert!(!hit_c);
         assert!(!Arc::ptr_eq(&a, &c));
-        // Stack and board keys share the store without colliding.
+        // A bare stack is its solo board: one key, one entry.
         let m = mapping(4, 4);
         let (d, hit_d) = cache.get_or_build(&m, die20(), &stack_nr(0)).unwrap();
         assert!(!hit_d);
         assert!(!Arc::ptr_eq(&a, &d));
+        let solo = Board::solo(4, 4, die20(), stack_nr(0));
+        let (e, hit_e) = cache.get_or_build_board(&solo, std::slice::from_ref(&m)).unwrap();
+        assert!(hit_e, "the stack and its solo board share a cache entry");
+        assert!(Arc::ptr_eq(&d, &e));
+        assert!(e.board_nodes().is_none(), "a free-standing board has no PCB plane");
     }
 
     #[test]

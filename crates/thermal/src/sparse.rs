@@ -249,8 +249,6 @@ pub enum SolveMethod {
     /// Conjugate gradient preconditioned by a geometric multigrid V-cycle
     /// ([`crate::multigrid::Multigrid`]).
     MgCg,
-    /// Gauss–Seidel sweeps.
-    GaussSeidel,
     /// Sparse LDLᵀ direct factorization ([`crate::cholesky::LdlFactor`]).
     Ldlt,
     /// Green's-function spectral evaluation ([`crate::greens`]): fast cosine
@@ -264,7 +262,6 @@ impl SolveMethod {
         match self {
             Self::Cg => "cg",
             Self::MgCg => "mg-cg",
-            Self::GaussSeidel => "gauss-seidel",
             Self::Ldlt => "ldlt",
             Self::Spectral => "spectral",
         }
@@ -276,7 +273,7 @@ impl SolveMethod {
 pub struct SolveStats {
     /// Which solver ran.
     pub method: SolveMethod,
-    /// Iterations used (CG/Gauss–Seidel; iterative-refinement count for
+    /// Iterations used (CG iterations; iterative-refinement count for
     /// direct solves, usually 0).
     pub iterations: usize,
     /// Final relative residual `‖b − A·x‖ / ‖b‖`.
@@ -442,58 +439,6 @@ pub fn conjugate_gradient(
     finish(max_iter, res, false)
 }
 
-/// Gauss–Seidel sweeps for the same systems; slower than CG but useful as an
-/// independent cross-check in tests.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or a zero diagonal.
-pub fn gauss_seidel(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    rel_tol: f64,
-    max_sweeps: usize,
-) -> SolveStats {
-    let n = a.dim();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        // Zero RHS of an SPD system has the unique solution x = 0; clamping
-        // b_norm instead would divide a tiny absolute residual by 1e-300 and
-        // report spurious non-convergence.
-        x.iter_mut().for_each(|v| *v = 0.0);
-        return SolveStats::iterative(SolveMethod::GaussSeidel, 0, 0.0, true);
-    }
-    let mut res = f64::INFINITY;
-    for sweep in 1..=max_sweeps {
-        for i in 0..n {
-            let mut sigma = 0.0;
-            let mut diag = 0.0;
-            for (j, v) in a.row(i) {
-                if j == i {
-                    diag = v;
-                } else {
-                    sigma += v * x[j];
-                }
-            }
-            assert!(diag != 0.0, "zero diagonal at row {i}");
-            x[i] = (b[i] - sigma) / diag;
-        }
-        // Residual check every few sweeps to amortize the SpMV.
-        if sweep % 4 == 0 || sweep == max_sweeps {
-            let ax = a.mul_vec(x);
-            let r: f64 = ax.iter().zip(b).map(|(axi, bi)| (bi - axi) * (bi - axi)).sum();
-            res = r.sqrt() / b_norm;
-            if res <= rel_tol {
-                return SolveStats::iterative(SolveMethod::GaussSeidel, sweep, res, true);
-            }
-        }
-    }
-    SolveStats::iterative(SolveMethod::GaussSeidel, max_sweeps, res, false)
-}
-
 /// Reverse Cuthill–McKee fill-reducing ordering.
 ///
 /// Returns a permutation `perm` with `perm[new] = old`: the node that lands
@@ -648,20 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn gauss_seidel_agrees_with_cg() {
-        let n = 50;
-        let a = laplacian_1d(n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut x1 = vec![0.0; n];
-        let mut x2 = vec![0.0; n];
-        assert!(conjugate_gradient(&a, &b, &mut x1, 1e-12, 10000).converged);
-        assert!(gauss_seidel(&a, &b, &mut x2, 1e-12, 100000).converged);
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
-    }
-
-    #[test]
     fn add_diagonal_changes_only_diagonal() {
         let a = laplacian_1d(5);
         let d = vec![10.0; 5];
@@ -670,18 +601,6 @@ mod tests {
             assert!((b.diagonal(i) - (a.diagonal(i) + 10.0)).abs() < 1e-12);
         }
         assert_eq!(b.nnz(), a.nnz());
-    }
-
-    #[test]
-    fn gauss_seidel_zero_rhs_returns_zero() {
-        // Regression: the old code clamped ‖b‖ to 1e-300, so a zero RHS
-        // reported relative residuals around 1e+300 and never "converged".
-        let a = laplacian_1d(10);
-        let mut x = vec![5.0; 10];
-        let stats = gauss_seidel(&a, &[0.0; 10], &mut x, 1e-12, 100);
-        assert!(stats.converged, "{stats:?}");
-        assert_eq!(stats.iterations, 0);
-        assert!(x.iter().all(|&v| v == 0.0));
     }
 
     #[test]
