@@ -364,8 +364,6 @@ fn bench_transient_1000_steps(c: &mut Criterion) {
 /// (every 33rd step) like the registered `movie` experiment does, and is
 /// gated against the LDLᵀ path that used to be the only option at this grid
 /// (~1.5 M nnz in L; the 1000 back-substitutions dominate at ~3.6 ms each).
-/// The MG-PCG fallback for non-qualifying stacks runs 100 steps (its
-/// per-step cost is flat, so the name carries the count).
 fn bench_transient_1000_steps_128(c: &mut Criterion) {
     let plan = library::ev6();
     let grid = 128;
@@ -440,17 +438,6 @@ fn bench_transient_1000_steps_128(c: &mut Criterion) {
                 }
             }
             black_box(ts.ledger().residual_rel())
-        })
-    });
-    g.bench_function("mg_pcg_100_steps", |b| {
-        let be = BackwardEuler::with_solver(&circuit, dt, SolverChoice::Multigrid);
-        assert_eq!(be.solver(), SolverChoice::Multigrid);
-        b.iter(|| {
-            let mut s = vec![318.15; n];
-            for _ in 0..100 {
-                be.step(&mut s, black_box(&p), 318.15).unwrap();
-            }
-            black_box(s[0])
         })
     });
     g.finish();

@@ -54,6 +54,15 @@ use hotiron_thermal::{Board, BoardError, PcbSpec, Placement, Rotation, ViaField}
 use hotiron_thermal::{Fluid, Material, PowerMap};
 use std::fmt;
 
+/// What a [`ScenarioError`] blames.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// The scenario is malformed or asks for something unusable.
+    Input,
+    /// The steady solver failed on a well-formed scenario.
+    Solve,
+}
+
 /// A parse or pipeline failure, carrying the 1-based line number of the
 /// offending scenario line (0 for file-level and runtime failures).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +71,8 @@ pub struct ScenarioError {
     pub line: usize,
     /// Human-readable description.
     pub message: String,
+    /// Whether the input or the solver is at fault.
+    pub kind: ErrorKind,
 }
 
 impl fmt::Display for ScenarioError {
@@ -77,8 +88,12 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 fn err(line: usize, message: impl Into<String>) -> ScenarioError {
-    ScenarioError { line, message: message.into() }
+    ScenarioError { line, message: message.into(), kind: ErrorKind::Input }
 }
+
+/// Largest accepted wattage of one source or block: far beyond any package,
+/// small enough that power densities and temperatures stay finite.
+const MAX_WATTS: f64 = 1e6;
 
 /// Which floorplan the die carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -328,6 +343,24 @@ fn parse_f64(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
         .ok_or_else(|| err(ln, format!("bad number `{s}` for key `{key}`")))
 }
 
+/// Parses a finite, strictly positive number (a die dimension).
+fn parse_positive(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
+    let v = parse_f64(ln, key, s)?;
+    if v <= 0.0 {
+        return Err(err(ln, format!("`{key}` must be positive, got `{s}`")));
+    }
+    Ok(v)
+}
+
+/// Parses a power in watts within `[0, MAX_WATTS]`.
+fn parse_watts(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
+    let v = parse_f64(ln, key, s)?;
+    if !(0.0..=MAX_WATTS).contains(&v) {
+        return Err(err(ln, format!("`{key}` watts must lie in [0, {MAX_WATTS:e}], got `{s}`")));
+    }
+    Ok(v)
+}
+
 fn parse_usize(ln: usize, key: &str, s: &str) -> Result<usize, ScenarioError> {
     s.parse().map_err(|_| err(ln, format!("bad number `{s}` for key `{key}`")))
 }
@@ -430,7 +463,7 @@ fn parse_rotation(ln: usize, value: &str) -> Result<Rotation, ScenarioError> {
 fn parse_source(ln: usize, value: &str) -> Result<PowerSpec, ScenarioError> {
     let words: Vec<&str> = value.split_whitespace().collect();
     match words.as_slice() {
-        ["uniform", w] => Ok(PowerSpec::Uniform(parse_f64(ln, "source", w)?)),
+        ["uniform", w] => Ok(PowerSpec::Uniform(parse_watts(ln, "source", w)?)),
         ["gcc"] => Ok(PowerSpec::Gcc),
         _ => {
             Err(err(ln, format!("bad power source `{value}`: expected `uniform <watts>` or `gcc`")))
@@ -602,8 +635,8 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
             ("scenario", "name") => name = Some(value.to_owned()),
             ("scenario", "title") => title = Some(value.to_owned()),
             ("die", "plan") => plan = Some(parse_plan(ln, value)?),
-            ("die", "width") => width = Some(parse_f64(ln, key, value)?),
-            ("die", "height") => height = Some(parse_f64(ln, key, value)?),
+            ("die", "width") => width = Some(parse_positive(ln, key, value)?),
+            ("die", "height") => height = Some(parse_positive(ln, key, value)?),
             ("grid", "rows") => rows = Some(parse_usize(ln, key, value)?),
             ("grid", "cols") => cols = Some(parse_usize(ln, key, value)?),
             ("stack", "layer") => layers.push(parse_layer(ln, value)?),
@@ -626,8 +659,8 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 match k {
                     "name" => place.name = Some(value.to_owned()),
                     "plan" => place.plan = Some(parse_plan(ln, value)?),
-                    "width" => place.width = Some(parse_f64(ln, key, value)?),
-                    "height" => place.height = Some(parse_f64(ln, key, value)?),
+                    "width" => place.width = Some(parse_positive(ln, key, value)?),
+                    "height" => place.height = Some(parse_positive(ln, key, value)?),
                     "x" => place.x = Some(parse_f64(ln, key, value)?),
                     "y" => place.y = Some(parse_f64(ln, key, value)?),
                     "rotation" => place.rotation = Some(parse_rotation(ln, value)?),
@@ -643,7 +676,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                                 format!("bad block power `{value}`: expected `<name> <watts>`"),
                             ));
                         };
-                        place.blocks.push(((*block).to_owned(), parse_f64(ln, key, watts)?));
+                        place.blocks.push(((*block).to_owned(), parse_watts(ln, key, watts)?));
                         place.blocks_line = ln;
                     }
                     other => return Err(err(ln, format!("unknown key `{other}` in [place]"))),
@@ -658,7 +691,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                         format!("bad block power `{value}`: expected `<name> <watts>`"),
                     ));
                 };
-                blocks.push(((*block).to_owned(), parse_f64(ln, key, watts)?));
+                blocks.push(((*block).to_owned(), parse_watts(ln, key, watts)?));
                 blocks_line = ln;
             }
             ("solve", "solver") => {
@@ -1054,7 +1087,13 @@ fn block_power_for(
 ) -> Result<PowerMap, ScenarioError> {
     match power {
         PowerSpec::Uniform(watts) => {
-            Ok(PowerMap::uniform_density(plan, watts / plan.covered_area()))
+            // Request-time overrides (`power_w`, `power_scale`) bypass the
+            // parse-time watt bound, so the density is re-checked here.
+            let density = watts / plan.covered_area();
+            if !(density.is_finite() && density >= 0.0) {
+                return Err(err(0, format!("uniform power {watts} W has no finite density")));
+            }
+            Ok(PowerMap::uniform_density(plan, density))
         }
         PowerSpec::Gcc => Ok(match kind {
             PlanKind::Ev6 => common::ev6_gcc().1,
@@ -1065,6 +1104,12 @@ fn block_power_for(
         PowerSpec::Blocks(blocks) => {
             let mut map = PowerMap::zeros(plan);
             for (block, watts) in blocks {
+                if !(watts.is_finite() && *watts >= 0.0) {
+                    return Err(err(
+                        0,
+                        format!("block `{block}` power {watts} W is not a valid wattage"),
+                    ));
+                }
                 map.set(plan, block, *watts)
                     .map_err(|_| err(0, format!("unknown block `{block}` in [power]")))?;
             }
@@ -1401,8 +1446,9 @@ pub fn run_in(
 }
 
 /// Dispatches the steady solve per the `[solve]` section's solver choice,
-/// mapping an ineligible spectral request to the client-error message shape
-/// (serving layers key 422 vs 500 off the prefix).
+/// mapping an ineligible spectral request to an [`ErrorKind::Input`] error
+/// and any other solver failure to [`ErrorKind::Solve`] (serving layers
+/// answer 422 vs 500 by kind).
 fn dispatch_steady(
     sc: &Scenario,
     circuit: &hotiron_thermal::circuit::ThermalCircuit,
@@ -1427,7 +1473,10 @@ fn dispatch_steady(
         SolveError::SpectralIneligible { reason } => {
             err(0, format!("spectral solver ineligible: {reason}"))
         }
-        other => err(0, format!("steady solve failed: {other:?}")),
+        other => ScenarioError {
+            kind: ErrorKind::Solve,
+            ..err(0, format!("steady solve failed: {other:?}"))
+        },
     })
 }
 
@@ -1529,6 +1578,31 @@ mod tests {
             .expect_err("infinite ambient");
         assert_eq!(e.line, 16);
         assert!(e.message.contains("bad number `inf` for key `ambient`"), "{e}");
+    }
+
+    #[test]
+    fn out_of_domain_numbers_name_line_and_key() {
+        let base = "[scenario]\nname = x\n[die]\nplan = uniform\nwidth = 0.01\nheight = 0.01\n\
+                    [grid]\nrows = 8\ncols = 8\n[stack]\nlayer = silicon silicon 5e-4\n\
+                    top = lumped 1 10\n[power]\nsource = uniform 5\n";
+        for (from, to, line, want) in [
+            ("width = 0.01", "width = 0", 5, "`width` must be positive"),
+            ("height = 0.01", "height = -0.016", 6, "`height` must be positive"),
+            ("uniform 5", "uniform -40", 14, "`source` watts must lie in"),
+            ("uniform 5", "uniform 1e308", 14, "`source` watts must lie in"),
+            ("source = uniform 5", "block = sched -3", 14, "`block` watts must lie in"),
+        ] {
+            let e = parse(&base.replace(from, to)).expect_err(to);
+            assert_eq!(e.line, line, "{to}: {e}");
+            assert!(e.message.contains(want), "{to}: {e}");
+        }
+        let duo = SHIPPED.iter().find(|(n, _)| *n == "board-duo").expect("shipped").1;
+        for (from, to) in [("width = 0.016", "width = 0"), ("height = 0.016", "height = -0.016")] {
+            let line = duo.lines().position(|l| l == from).expect("place dimension") + 1;
+            let e = parse(&duo.replacen(from, to, 1)).expect_err(to);
+            assert_eq!(e.line, line, "{to}: {e}");
+            assert!(e.message.contains("must be positive"), "{to}: {e}");
+        }
     }
 
     #[test]

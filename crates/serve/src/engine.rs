@@ -14,7 +14,9 @@
 use crate::json::{obj, Json};
 use crate::protocol::{FidelityTier, ScenarioSource, SolveRequest};
 use hotiron_bench::common::{self, Fidelity};
-use hotiron_bench::scenario::{self, PlanKind, PowerSpec, Scenario, Solution, SolverSpec};
+use hotiron_bench::scenario::{
+    self, ErrorKind, PlanKind, PowerSpec, Scenario, Solution, SolverSpec,
+};
 use hotiron_thermal::CircuitCache;
 use std::collections::HashMap;
 use std::fmt;
@@ -236,7 +238,7 @@ impl Engine {
         }
 
         let outcome = scenario::run_in(&sc, fidelity, &self.cache).map(Arc::new).map_err(|e| {
-            let code = if e.message.starts_with("steady solve failed") { 500 } else { 422 };
+            let code = if e.kind == ErrorKind::Solve { 500 } else { 422 };
             EngineError { code, message: e.to_string() }
         });
         // Unpublish before waking followers: a request arriving after the
@@ -375,6 +377,40 @@ mod tests {
         let e = engine.solve(&req).unwrap_err();
         assert_eq!(e.code, 422, "{e}");
         assert!(e.message.contains("line 14") && e.message.contains("`source`"), "{e}");
+        let (sol, _) = engine.solve(&named("paper-oil")).expect("engine still answers");
+        assert!(sol.solve_stats.converged);
+        assert_eq!(engine.inflight_len(), 0);
+    }
+
+    #[test]
+    fn out_of_domain_inline_numbers_are_422_and_the_engine_keeps_serving() {
+        let engine = Engine::new(8);
+        let base = "[scenario]\nname = probe\n[die]\nplan = uniform\nwidth = 0.01\n\
+                    height = 0.01\n[grid]\nrows = 8\ncols = 8\n[stack]\n\
+                    layer = silicon silicon 5e-4\ntop = lumped 1 10\n[power]\nsource = uniform 40\n";
+        for (from, to) in [
+            ("width = 0.01", "width = 0"),
+            ("height = 0.01", "height = -0.016"),
+            ("uniform 40", "uniform -40"),
+            ("uniform 40", "uniform 1e308"),
+            ("source = uniform 40", "block = sched -3"),
+        ] {
+            let mut req = named("x");
+            req.scenario = ScenarioSource::Inline(base.replace(from, to));
+            let e = engine.solve(&req).unwrap_err();
+            assert_eq!(e.code, 422, "{to}: {e}");
+            assert!(e.message.contains("scenario line"), "{to}: {e}");
+        }
+        // Request overrides skip the parse-time bound; the power map checks
+        // them again.
+        let mut huge_w = named("paper-oil");
+        huge_w.power_w = Some(1e308);
+        let mut huge_scale = named("paper-air");
+        huge_scale.power_scale = Some(1e308);
+        for req in [huge_w, huge_scale] {
+            let e = engine.solve(&req).unwrap_err();
+            assert_eq!(e.code, 422, "{e}");
+        }
         let (sol, _) = engine.solve(&named("paper-oil")).expect("engine still answers");
         assert!(sol.solve_stats.converged);
         assert_eq!(engine.inflight_len(), 0);

@@ -17,18 +17,21 @@
 //! 1. forward 2-D DCT of the power map (rise variables `u = T − T_amb`
 //!    make the right-hand side *only* the silicon-layer power, because the
 //!    conductance rows sum to the ambient conductances);
-//! 2. for each lateral mode `(kc, kr)`, an `L×L` tridiagonal solve across
-//!    the layers with precomputed LU factors (`L = 1` for bare-die stacks:
-//!    a single multiply by the precomputed unit-source response);
+//! 2. for each lateral mode `(kc, kr)`, one multiply per layer by the
+//!    precomputed unit-source response of that mode;
 //! 3. inverse 2-D DCT per layer, then exact back-substitution of the
-//!    eliminated per-cell oil nodes and the Schur-complemented lumped
-//!    coolant nodes.
+//!    eliminated per-cell oil nodes and the lumped coolant nodes.
+//!
+//! Steady and transient share one per-mode operator `K_m` (the layer chain,
+//! explicit oil planes for transient, and the lumped coolants in the DC
+//! mode, the only mode a uniformly coupled node talks to). Steady solves
+//! `K_m·x = e_si` once per mode at build time; transient eigendecomposes
+//! the mass-symmetrized `K_m` instead.
 //!
 //! Per-cell oil nodes with a globally uniform film coefficient are
-//! eliminated exactly (`g·g_amb/(g+g_amb)` onto the cell diagonal); lumped
-//! coolant plates are handled exactly through a dense Schur complement of
-//! size = number of coolant nodes. The result matches the direct solver to
-//! FFT roundoff (~1e-12 K), far inside the cross-backend fuzz tolerance.
+//! eliminated exactly (`g·g_amb/(g+g_amb)` onto the cell diagonal) for
+//! steady solves. The result matches the direct solver to FFT roundoff
+//! (~1e-12 K), far inside the cross-backend fuzz tolerance.
 //!
 //! # Qualification
 //!
@@ -94,7 +97,7 @@ struct OilNode {
     g_amb: f64,
 }
 
-/// One lumped coolant node, kept exactly via a Schur complement.
+/// One lumped coolant node, kept exactly as a DC-mode operator slot.
 #[derive(Debug, Clone, PartialEq)]
 struct CoolantNode {
     /// Index in the full state vector.
@@ -425,55 +428,117 @@ impl SpectralParams {
     }
 }
 
-/// Small dense LU with partial pivoting for the coolant Schur complement
-/// (dimension = number of coolant nodes, typically 0–2).
-#[derive(Debug, Clone)]
-struct SmallLu {
-    n: usize,
-    lu: Vec<f64>,
-    piv: Vec<usize>,
+/// Mode-independent layer diagonal from the vertical couplings alone.
+fn vertical_diag(params: &SpectralParams) -> Vec<f64> {
+    let nl = params.nl;
+    let mut diag = vec![0.0; nl];
+    for (l, d) in diag.iter_mut().enumerate() {
+        if l > 0 {
+            *d += params.vert[l - 1];
+        }
+        if l + 1 < nl {
+            *d += params.vert[l];
+        }
+    }
+    diag
 }
 
-impl SmallLu {
-    fn factor(mut a: Vec<f64>, n: usize) -> Self {
-        let mut piv: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            let p = (k..n)
-                .max_by(|&i, &j| a[i * n + k].abs().total_cmp(&a[j * n + k].abs()))
-                .expect("non-empty pivot column");
-            if p != k {
-                piv.swap(k, p);
-                for c in 0..n {
-                    a.swap(k * n + c, p * n + c);
-                }
-            }
-            let pivot = a[k * n + k];
-            for i in k + 1..n {
-                let m = a[i * n + k] / pivot;
-                a[i * n + k] = m;
-                for c in k + 1..n {
-                    a[i * n + c] -= m * a[k * n + c];
-                }
-            }
-        }
-        Self { n, lu: a, piv }
+/// Builder of the symmetric per-mode operators `K_m` shared by the steady
+/// response and the transient stepper. Slots: the layer chain, one pendant
+/// slot per explicit oil plane, and — in the DC mode only, the one mode a
+/// uniformly coupled lumped node talks to — one slot per lumped coolant in
+/// the symmetric variable `v = √n·u_c`.
+struct ModeOperator<'a> {
+    params: &'a SpectralParams,
+    /// Mode-independent layer diagonal.
+    diag0: Vec<f64>,
+    oil_planes: &'a [OilPlane],
+    /// Lateral eigenvalues `4·sin²(πk/2N)` of the mirror-edge Laplacian,
+    /// per column and per row mode.
+    lam_x: Vec<f64>,
+    lam_y: Vec<f64>,
+}
+
+impl<'a> ModeOperator<'a> {
+    fn new(params: &'a SpectralParams, diag0: Vec<f64>, oil_planes: &'a [OilPlane]) -> Self {
+        let lam = |dim: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|k| {
+                    let s = (std::f64::consts::PI * k as f64 / (2.0 * dim as f64)).sin();
+                    4.0 * s * s
+                })
+                .collect()
+        };
+        Self { params, diag0, oil_planes, lam_x: lam(params.cols), lam_y: lam(params.rows) }
     }
 
-    fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.n;
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
-        for i in 0..n {
-            for k in 0..i {
-                x[i] -= self.lu[i * n + k] * x[k];
+    /// Writes `K_m` for mode `m` (layout of [`Dct2::forward_into`]:
+    /// `m = kc·rows + kr`) row-major into `k` and returns its dimension.
+    fn write(&self, m: usize, k: &mut [f64]) -> usize {
+        let params = self.params;
+        let nl = params.nl;
+        let lx = self.lam_x[m / params.rows];
+        let ly = self.lam_y[m % params.rows];
+        let base = nl + self.oil_planes.len();
+        let dim = if m == 0 { base + params.coolants.len() } else { base };
+        k[..dim * dim].fill(0.0);
+        for l in 0..nl {
+            k[l * dim + l] = params.gx[l] * lx + params.gy[l] * ly + self.diag0[l];
+            if l + 1 < nl {
+                k[l * dim + l + 1] = -params.vert[l];
+                k[(l + 1) * dim + l] = -params.vert[l];
             }
         }
-        for i in (0..n).rev() {
-            for k in i + 1..n {
-                x[i] -= self.lu[i * n + k] * x[k];
-            }
-            x[i] /= self.lu[i * n + i];
+        for (p, plane) in self.oil_planes.iter().enumerate() {
+            let s = nl + p;
+            k[s * dim + s] = plane.g + plane.g_amb;
+            k[s * dim + plane.layer] = -plane.g;
+            k[plane.layer * dim + s] = -plane.g;
         }
-        x
+        if m == 0 {
+            let nn = params.cells() as f64;
+            for (j, cool) in params.coolants.iter().enumerate() {
+                let t = base + j;
+                let mut d = cool.g_amb;
+                for &(l, gv) in &cool.couplings {
+                    d += gv * nn;
+                    k[t * dim + l] = -(gv * nn.sqrt());
+                    k[l * dim + t] = k[t * dim + l];
+                }
+                k[t * dim + t] = d;
+            }
+        }
+        dim
+    }
+}
+
+/// Solves `K·x = e_col` for the symmetric positive definite `dim×dim`
+/// row-major `k` (clobbered) by Gaussian elimination without pivoting,
+/// which is stable for SPD matrices.
+fn spd_solve_unit(k: &mut [f64], dim: usize, col: usize, x: &mut [f64]) {
+    x[..dim].fill(0.0);
+    x[col] = 1.0;
+    // Each pivot is replaced by its reciprocal once, for both sweeps.
+    for p in 0..dim {
+        let inv = 1.0 / k[p * dim + p];
+        k[p * dim + p] = inv;
+        for r in p + 1..dim {
+            let f = k[r * dim + p] * inv;
+            if f == 0.0 {
+                continue;
+            }
+            for c in p + 1..dim {
+                k[r * dim + c] -= f * k[p * dim + c];
+            }
+            x[r] -= f * x[p];
+        }
+    }
+    for p in (0..dim).rev() {
+        let mut acc = x[p];
+        for c in p + 1..dim {
+            acc -= k[p * dim + c] * x[c];
+        }
+        x[p] = acc * k[p * dim + p];
     }
 }
 
@@ -483,27 +548,26 @@ impl SmallLu {
 pub struct SpectralScratch {
     /// Spatial planes, layer-major, `nl·n`.
     planes: Vec<f64>,
-    /// Spectral planes (transposed mode layout), `nl·n`.
+    /// Spectrum of the power map (transposed mode layout), `n`.
+    power: Vec<f64>,
+    /// One layer's spectrum, `n` (clobbered by its inverse transform).
     spec: Vec<f64>,
     dct: Dct2Scratch,
 }
 
 /// The precomputed unit-source response of one qualifying (stack, grid):
-/// transform plans, per-mode tridiagonal LU factors across layers, and the
-/// coolant Schur complement. Build once (cached in [`ResponseCache`]),
-/// solve any power map in O(n log n).
+/// transform plans plus, per lateral mode, the response of every layer (and,
+/// in the DC mode, every lumped coolant) to unit silicon power. Build once
+/// (cached in [`ResponseCache`]), solve any power map in O(n log n).
 #[derive(Debug)]
 pub struct SpectralResponse {
     params: SpectralParams,
     dct: Dct2,
-    /// Thomas multipliers, `(nl−1)·n`, mode-major within each layer plane.
-    factor_m: Vec<f64>,
-    /// Reciprocal pivots, `nl·n`.
-    factor_invd: Vec<f64>,
-    /// Per-coolant spatial correction columns `W = A⁻¹B`, each `nl·n`.
-    w_planes: Vec<Vec<f64>>,
-    /// LU of the Schur complement `S = D − BᵀW`.
-    schur: Option<SmallLu>,
+    /// Per-layer gain planes `x_m[l]` of `K_m·x_m = e_si`, `nl·n`, mode
+    /// layout within each plane.
+    gain: Vec<f64>,
+    /// Coolant rise per unit DC power coefficient, one per coolant.
+    coolant_gain: Vec<f64>,
     build_seconds: f64,
 }
 
@@ -512,79 +576,34 @@ impl SpectralResponse {
     pub fn build(params: SpectralParams) -> Self {
         let start = Instant::now();
         let n = params.cells();
-        let (rows, cols, nl) = (params.rows, params.cols, params.nl);
-        let dct = Dct2::new(rows, cols);
-        let lambda = |k: usize, dim: usize| {
-            let s = (std::f64::consts::PI * k as f64 / (2.0 * dim as f64)).sin();
-            4.0 * s * s
-        };
-        // Mode layout matches Dct2::forward_into: m = kc·rows + kr.
-        let mut factor_m = vec![0.0; nl.saturating_sub(1) * n];
-        let mut factor_invd = vec![0.0; nl * n];
-        for kc in 0..cols {
-            let lx = lambda(kc, cols);
-            for kr in 0..rows {
-                let m = kc * rows + kr;
-                let ly = lambda(kr, rows);
-                let a = |l: usize| {
-                    params.gx[l] * lx
-                        + params.gy[l] * ly
-                        + params.diag_extra[l]
-                        + if l > 0 { params.vert[l - 1] } else { 0.0 }
-                        + if l + 1 < nl { params.vert[l] } else { 0.0 }
-                };
-                let mut d = a(0);
-                factor_invd[m] = 1.0 / d;
-                for l in 1..nl {
-                    let mult = params.vert[l - 1] / d;
-                    factor_m[(l - 1) * n + m] = mult;
-                    d = a(l) - params.vert[l - 1] * mult;
-                    factor_invd[l * n + m] = 1.0 / d;
+        let nl = params.nl;
+        // Steady keeps the exact oil fold (`diag_extra`), so the operator
+        // carries no pendant slots.
+        let mut diag0 = vertical_diag(&params);
+        for (d, &extra) in diag0.iter_mut().zip(&params.diag_extra) {
+            *d += extra;
+        }
+        let op = ModeOperator::new(&params, diag0, &[]);
+        let stride = nl + params.coolants.len();
+        let mut k = vec![0.0; stride * stride];
+        let mut x = vec![0.0; stride];
+        let mut gain = vec![0.0; nl * n];
+        let mut coolant_gain = vec![0.0; params.coolants.len()];
+        for m in 0..n {
+            let dim = op.write(m, &mut k);
+            spd_solve_unit(&mut k, dim, params.si_layer, &mut x);
+            for (l, &xl) in x[..nl].iter().enumerate() {
+                gain[l * n + m] = xl;
+            }
+            if m == 0 {
+                // Back from the symmetric variable: u_c = v/√n.
+                for (g, &v) in coolant_gain.iter_mut().zip(&x[nl..]) {
+                    *g = v / (n as f64).sqrt();
                 }
             }
         }
-        let mut resp = Self {
-            params,
-            dct,
-            factor_m,
-            factor_invd,
-            w_planes: Vec::new(),
-            schur: None,
-            build_seconds: 0.0,
-        };
-        // Coolant Schur complement: W = A⁻¹B column per coolant,
-        // S = D − BᵀW (coolants never inter-couple, so D is diagonal).
-        let m = resp.params.coolants.len();
-        if m > 0 {
-            let mut scratch = resp.scratch();
-            let mut w_planes = Vec::with_capacity(m);
-            for cool in resp.params.coolants.clone() {
-                scratch.planes.fill(0.0);
-                for &(layer, gv) in &cool.couplings {
-                    scratch.planes[layer * n..(layer + 1) * n].fill(-gv);
-                }
-                let SpectralScratch { planes, spec, dct } = &mut scratch;
-                resp.solve_planes(planes, spec, dct);
-                w_planes.push(planes.clone());
-            }
-            let mut s = vec![0.0; m * m];
-            for (jj, cool_j) in resp.params.coolants.iter().enumerate() {
-                let d_jj: f64 = cool_j.g_amb
-                    + cool_j.couplings.iter().map(|&(_, gv)| gv * n as f64).sum::<f64>();
-                for kk in 0..m {
-                    let mut bt_w = 0.0;
-                    for &(layer, gv) in &cool_j.couplings {
-                        let plane = &w_planes[kk][layer * n..(layer + 1) * n];
-                        bt_w += -gv * plane.iter().sum::<f64>();
-                    }
-                    s[jj * m + kk] = if jj == kk { d_jj } else { 0.0 } - bt_w;
-                }
-            }
-            resp.w_planes = w_planes;
-            resp.schur = Some(SmallLu::factor(s, m));
-        }
-        resp.build_seconds = start.elapsed().as_secs_f64();
-        resp
+        let dct = Dct2::new(params.rows, params.cols);
+        Self { params, dct, gain, coolant_gain, build_seconds: start.elapsed().as_secs_f64() }
     }
 
     /// Parameters this response was built from.
@@ -599,57 +618,12 @@ impl SpectralResponse {
 
     /// Allocates solve scratch sized for this response.
     pub fn scratch(&self) -> SpectralScratch {
-        let sz = self.params.nl * self.params.cells();
-        SpectralScratch { planes: vec![0.0; sz], spec: vec![0.0; sz], dct: self.dct.scratch() }
-    }
-
-    /// Solves `A·u = b` over the cell block: `planes` holds the layer-major
-    /// spatial right-hand side on entry and the spatial solution on return.
-    fn solve_planes(&self, planes: &mut [f64], spec: &mut [f64], dct: &mut Dct2Scratch) {
         let n = self.params.cells();
-        let nl = self.params.nl;
-        for l in 0..nl {
-            let plane = &mut planes[l * n..(l + 1) * n];
-            // A zero plane transforms to zero: skip the pass (typical case:
-            // power only enters the silicon layer).
-            if plane.iter().all(|&v| v == 0.0) {
-                spec[l * n..(l + 1) * n].fill(0.0);
-            } else {
-                self.dct.forward_into(plane, &mut spec[l * n..(l + 1) * n], dct);
-            }
-        }
-        // Thomas sweeps across layers, vectorized over modes.
-        for l in 1..nl {
-            let (prev, cur) = spec.split_at_mut(l * n);
-            let prev = &prev[(l - 1) * n..];
-            let mult = &self.factor_m[(l - 1) * n..l * n];
-            for ((z, &zp), &mu) in cur[..n].iter_mut().zip(prev.iter()).zip(mult.iter()) {
-                *z += mu * zp;
-            }
-        }
-        {
-            let last = &mut spec[(nl - 1) * n..nl * n];
-            let invd = &self.factor_invd[(nl - 1) * n..nl * n];
-            for (z, &d) in last.iter_mut().zip(invd.iter()) {
-                *z *= d;
-            }
-        }
-        for l in (0..nl.saturating_sub(1)).rev() {
-            let v = self.params.vert[l];
-            let (cur, next) = spec.split_at_mut((l + 1) * n);
-            let cur = &mut cur[l * n..];
-            let next = &next[..n];
-            let invd = &self.factor_invd[l * n..(l + 1) * n];
-            for ((z, &zn), &d) in cur.iter_mut().zip(next.iter()).zip(invd.iter()) {
-                *z = (*z + v * zn) * d;
-            }
-        }
-        for l in 0..nl {
-            self.dct.inverse_into(
-                &mut spec[l * n..(l + 1) * n],
-                &mut planes[l * n..(l + 1) * n],
-                dct,
-            );
+        SpectralScratch {
+            planes: vec![0.0; self.params.nl * n],
+            power: vec![0.0; n],
+            spec: vec![0.0; n],
+            dct: self.dct.scratch(),
         }
     }
 
@@ -674,31 +648,19 @@ impl SpectralResponse {
         let nl = self.params.nl;
         assert_eq!(si_cell_power.len(), n, "power map must cover the grid");
         assert_eq!(state.len(), self.params.node_count, "state must cover every node");
-        let SpectralScratch { planes, spec, dct } = scratch;
-        // Rise variables u = T − T_amb: the RHS is the power map alone
-        // (zero everywhere except the silicon plane, which is overwritten).
+        let SpectralScratch { planes, power, spec, dct } = scratch;
+        // Rise variables u = T − T_amb: the right-hand side is the power map
+        // alone, so every layer's spectrum is its gain plane times the
+        // power spectrum.
         let si = self.params.si_layer;
-        planes[..si * n].fill(0.0);
-        planes[(si + 1) * n..].fill(0.0);
         planes[si * n..(si + 1) * n].copy_from_slice(si_cell_power);
-        self.solve_planes(planes, spec, dct);
-        // Coolant correction: y = S⁻¹(−Bᵀt), u = t − W·y.
-        let mut y = Vec::new();
-        if let Some(schur) = &self.schur {
-            let mut bt = Vec::with_capacity(self.params.coolants.len());
-            for cool in &self.params.coolants {
-                let mut acc = 0.0;
-                for &(layer, gv) in &cool.couplings {
-                    acc += -gv * planes[layer * n..(layer + 1) * n].iter().sum::<f64>();
-                }
-                bt.push(-acc);
+        self.dct.forward_into(&mut planes[si * n..(si + 1) * n], power, dct);
+        for l in 0..nl {
+            let gain = &self.gain[l * n..(l + 1) * n];
+            for ((s, &g), &p) in spec.iter_mut().zip(gain).zip(power.iter()) {
+                *s = g * p;
             }
-            y = schur.solve(&bt);
-            for (w, &yj) in self.w_planes.iter().zip(&y) {
-                for (p, &wv) in planes.iter_mut().zip(w.iter()) {
-                    *p -= yj * wv;
-                }
-            }
+            self.dct.inverse_into(spec, &mut planes[l * n..(l + 1) * n], dct);
         }
         for (s, &u) in state[..nl * n].iter_mut().zip(planes.iter()) {
             *s = ambient + u;
@@ -707,9 +669,10 @@ impl SpectralResponse {
             state[o.node] = ambient + o.g / (o.g + o.g_amb) * planes[o.cell];
         }
         let mut heat_out = 0.0;
-        for (cool, &yj) in self.params.coolants.iter().zip(&y) {
-            state[cool.node] = ambient + yj;
-            heat_out += cool.g_amb * yj;
+        for (cool, &g) in self.params.coolants.iter().zip(&self.coolant_gain) {
+            let u = g * power[0];
+            state[cool.node] = ambient + u;
+            heat_out += cool.g_amb * u;
         }
         for o in &self.params.oil {
             heat_out += o.g_amb * (state[o.node] - ambient);
@@ -745,21 +708,6 @@ struct OilPlane {
     cap: f64,
     /// Oil node index per in-plane cell, row-major.
     nodes: Vec<usize>,
-}
-
-/// One lumped coolant mass. A coolant couples uniformly to every cell of a
-/// layer, so in the DCT basis it talks only to the DC mode; the symmetrized
-/// variable `v = √n·u_c` keeps the DC block symmetric with mass `C_c`.
-#[derive(Debug, Clone)]
-struct CoolantSlot {
-    /// Index in the full state vector.
-    node: usize,
-    /// Coolant↔ambient conductance, W/K.
-    g_amb: f64,
-    /// Lumped capacitance, J/K.
-    cap: f64,
-    /// Per-layer uniform cell↔coolant conductance, W/K per cell.
-    couplings: Vec<(usize, f64)>,
 }
 
 /// Exact running energy accounting of a spectral transient trajectory,
@@ -914,7 +862,6 @@ pub struct SpectralTransient {
     /// Live slots in every non-DC mode (layers + oil planes).
     base: usize,
     oil_planes: Vec<OilPlane>,
-    coolants: Vec<CoolantSlot>,
     /// Square roots / reciprocal square roots of the per-slot masses.
     sqrt_m: Vec<f64>,
     inv_sqrt_m: Vec<f64>,
@@ -1028,61 +975,37 @@ impl SpectralTransient {
             oil_planes.push(OilPlane { layer, g, g_amb, cap: c, nodes });
         }
 
-        let coolants: Vec<CoolantSlot> = params
-            .coolants
-            .iter()
-            .map(|c| {
-                if cap[c.node] <= 0.0 {
-                    return Err(bail("coolant node with non-positive capacitance"));
-                }
-                Ok(CoolantSlot {
-                    node: c.node,
-                    g_amb: c.g_amb,
-                    cap: cap[c.node],
-                    couplings: c.couplings.clone(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        // A coolant's symmetrized slot `v = √n·u_c` has mass `C_c`.
+        let coolant_cap: Vec<f64> = params.coolants.iter().map(|c| cap[c.node]).collect();
+        if coolant_cap.iter().any(|&c| c <= 0.0) {
+            return Err(bail("coolant node with non-positive capacitance"));
+        }
 
         let base = nl + oil_planes.len();
-        let stride = base + coolants.len();
+        let stride = base + coolant_cap.len();
         let mut mass = vec![0.0; stride];
         mass[..nl].copy_from_slice(&layer_cap);
         for (p, plane) in oil_planes.iter().enumerate() {
             mass[nl + p] = plane.cap;
         }
-        for (j, cool) in coolants.iter().enumerate() {
-            mass[base + j] = cool.cap;
-        }
+        mass[base..].copy_from_slice(&coolant_cap);
         let sqrt_m: Vec<f64> = mass.iter().map(|m| m.sqrt()).collect();
         let inv_sqrt_m: Vec<f64> = sqrt_m.iter().map(|m| 1.0 / m).collect();
 
         // Mode-independent raw layer diagonal: vertical couplings plus oil
         // and coolant loads. This is the *unfolded* diagonal — diag_extra's
         // steady oil fold would be wrong here, the oil slots are explicit.
-        let mut diag0 = vec![0.0; nl];
-        for (l, d) in diag0.iter_mut().enumerate() {
-            if l > 0 {
-                *d += params.vert[l - 1];
-            }
-            if l + 1 < nl {
-                *d += params.vert[l];
-            }
-        }
+        let mut diag0 = vertical_diag(&params);
         for plane in &oil_planes {
             diag0[plane.layer] += plane.g;
         }
-        for cool in &coolants {
+        for cool in &params.coolants {
             for &(l, gv) in &cool.couplings {
                 diag0[l] += gv;
             }
         }
+        let op = ModeOperator::new(&params, diag0, &oil_planes);
 
-        let (rows, cols) = (params.rows, params.cols);
-        let lambda = |k: usize, dim: usize| {
-            let s = (std::f64::consts::PI * k as f64 / (2.0 * dim as f64)).sin();
-            4.0 * s * s
-        };
         let nn = n as f64;
         let si = params.si_layer;
         let mut exp_tab = vec![1.0; n * stride];
@@ -1093,63 +1016,32 @@ impl SpectralTransient {
         let mut intw_dc = vec![0.0; stride];
         let mut k_mat = vec![0.0; stride * stride];
         let mut lam = vec![0.0; stride];
-        for kc in 0..cols {
-            let lx = lambda(kc, cols);
-            for kr in 0..rows {
-                let m = kc * rows + kr;
-                let ly = lambda(kr, rows);
-                let dim = if m == 0 { stride } else { base };
-                k_mat[..dim * dim].fill(0.0);
-                for l in 0..nl {
-                    k_mat[l * dim + l] = params.gx[l] * lx + params.gy[l] * ly + diag0[l];
-                    if l + 1 < nl {
-                        k_mat[l * dim + l + 1] = -params.vert[l];
-                        k_mat[(l + 1) * dim + l] = -params.vert[l];
-                    }
+        for m in 0..n {
+            let dim = op.write(m, &mut k_mat);
+            // Symmetrize with the masses: B = M^{−1/2} K M^{−1/2}.
+            for r in 0..dim {
+                for c in 0..dim {
+                    k_mat[r * dim + c] *= inv_sqrt_m[r] * inv_sqrt_m[c];
                 }
-                for (p, plane) in oil_planes.iter().enumerate() {
-                    let s = nl + p;
-                    k_mat[s * dim + s] = plane.g + plane.g_amb;
-                    k_mat[s * dim + plane.layer] = -plane.g;
-                    k_mat[plane.layer * dim + s] = -plane.g;
-                }
+            }
+            let qm = &mut q_all[m * stride * stride..][..dim * dim];
+            jacobi_eigen(&mut k_mat[..dim * dim], qm, &mut lam[..dim], dim);
+            for i in 0..dim {
+                let l = lam[i].max(0.0);
+                let x = l * dt;
+                let phi = if l > 0.0 { -(-x).exp_m1() / l } else { dt };
+                let o = qm[si * dim + i] * inv_sqrt_m[si];
+                exp_tab[m * stride + i] = (-x).exp();
+                out_si[m * stride + i] = o;
+                gain_tab[m * stride + i] = phi * o;
                 if m == 0 {
-                    for (j, cool) in coolants.iter().enumerate() {
-                        let t = base + j;
-                        let mut d = cool.g_amb;
-                        for &(l, gv) in &cool.couplings {
-                            d += gv * nn;
-                            k_mat[t * dim + l] = -(gv * nn.sqrt());
-                            k_mat[l * dim + t] = k_mat[t * dim + l];
-                        }
-                        k_mat[t * dim + t] = d;
-                    }
-                }
-                // Symmetrize with the masses: B = M^{−1/2} K M^{−1/2}.
-                for r in 0..dim {
-                    for c in 0..dim {
-                        k_mat[r * dim + c] *= inv_sqrt_m[r] * inv_sqrt_m[c];
-                    }
-                }
-                let qm = &mut q_all[m * stride * stride..][..dim * dim];
-                jacobi_eigen(&mut k_mat[..dim * dim], qm, &mut lam[..dim], dim);
-                for i in 0..dim {
-                    let l = lam[i].max(0.0);
-                    let x = l * dt;
-                    let phi = if l > 0.0 { -(-x).exp_m1() / l } else { dt };
-                    let o = qm[si * dim + i] * inv_sqrt_m[si];
-                    exp_tab[m * stride + i] = (-x).exp();
-                    out_si[m * stride + i] = o;
-                    gain_tab[m * stride + i] = phi * o;
-                    if m == 0 {
-                        phi_dc[i] = phi;
-                        // (dt − φ)/λ, by series when λ·dt is cancellation-prone.
-                        intw_dc[i] = if x > 1e-4 {
-                            (dt - phi) / l
-                        } else {
-                            dt * dt * 0.5 * (1.0 - x / 3.0 + x * x / 12.0)
-                        };
-                    }
+                    phi_dc[i] = phi;
+                    // (dt − φ)/λ, by series when λ·dt is cancellation-prone.
+                    intw_dc[i] = if x > 1e-4 {
+                        (dt - phi) / l
+                    } else {
+                        dt * dt * 0.5 * (1.0 - x / 3.0 + x * x / 12.0)
+                    };
                 }
             }
         }
@@ -1164,8 +1056,8 @@ impl SpectralTransient {
             w_store[nl + p] = plane.cap;
             w_out[nl + p] = plane.g_amb;
         }
-        for (j, cool) in coolants.iter().enumerate() {
-            w_store[base + j] = cool.cap / nn.sqrt();
+        for (j, (cool, &c)) in params.coolants.iter().zip(&coolant_cap).enumerate() {
+            w_store[base + j] = c / nn.sqrt();
             w_out[base + j] = cool.g_amb / nn.sqrt();
         }
         let qdc = &q_all[..stride * stride];
@@ -1178,7 +1070,7 @@ impl SpectralTransient {
             }
         }
 
-        let dct = Dct2::new(rows, cols);
+        let dct = Dct2::new(params.rows, params.cols);
         Ok(Self {
             params,
             dt,
@@ -1186,7 +1078,6 @@ impl SpectralTransient {
             stride,
             base,
             oil_planes,
-            coolants,
             sqrt_m,
             inv_sqrt_m,
             exp_tab,
@@ -1286,10 +1177,10 @@ impl SpectralTransient {
             }
         }
         // Coolant slots enter the DC mode only: w = √C_c·(√n·u_c).
-        if !self.coolants.is_empty() {
+        if !self.params.coolants.is_empty() {
             let dim = stride;
             let qm = &self.q_all[..dim * dim];
-            for (j, cool) in self.coolants.iter().enumerate() {
+            for (j, cool) in self.params.coolants.iter().enumerate() {
                 let s = self.base + j;
                 let wv = self.sqrt_m[s] * (state[cool.node] - ambient) * (n as f64).sqrt();
                 for (i, zi) in ts.z[..dim].iter_mut().enumerate() {
@@ -1345,10 +1236,10 @@ impl SpectralTransient {
                 state[node] = ambient + u;
             }
         }
-        if !self.coolants.is_empty() {
+        if !self.params.coolants.is_empty() {
             let dim = stride;
             let qm = &self.q_all[..dim * dim];
-            for (j, cool) in self.coolants.iter().enumerate() {
+            for (j, cool) in self.params.coolants.iter().enumerate() {
                 let s = self.base + j;
                 let mut acc = 0.0;
                 for (i, &zi) in ts.z[..dim].iter().enumerate() {
@@ -1639,8 +1530,8 @@ mod tests {
 
     #[test]
     fn multi_layer_stack_matches_direct() {
-        // Two full-size conduction layers: exercises the cross-layer
-        // tridiagonal path (no plates, so still shift-invariant).
+        // Two full-size conduction layers: exercises the per-mode
+        // layer chain (no plates, so still shift-invariant).
         let d = die();
         let stack = LayerStack::new(
             vec![
@@ -1650,6 +1541,22 @@ mod tests {
             0,
         )
         .with_top(Boundary::Lumped { r_total: 1.0, c_total: 40.0 });
+        spectral_vs_direct(&stack, (16, 16), 1e-9);
+    }
+
+    #[test]
+    fn two_coolant_stack_matches_direct() {
+        // Lumped top and bottom: two coolant slots in the DC-mode operator.
+        let d = die();
+        let stack = LayerStack::new(
+            vec![
+                Layer::new("interface", INTERFACE, 2.0e-5),
+                Layer::new("silicon", SILICON, d.thickness),
+            ],
+            1,
+        )
+        .with_top(Boundary::Lumped { r_total: 1.0, c_total: 40.0 })
+        .with_bottom(Boundary::Lumped { r_total: 6.0, c_total: 10.0 });
         spectral_vs_direct(&stack, (16, 16), 1e-9);
     }
 

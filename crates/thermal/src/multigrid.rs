@@ -654,19 +654,8 @@ impl Multigrid {
     /// — callers fall back to plain CG — or the structure defeats the
     /// smoother/factorization.
     pub fn from_circuit(circuit: &ThermalCircuit, opts: MgOptions) -> Option<Self> {
-        Self::from_operator(circuit, circuit.conductance(), opts)
-    }
-
-    /// Builds the hierarchy for an arbitrary SPD operator sharing the
-    /// circuit's node layout — the transient path passes `G + C/dt`, whose
-    /// added diagonal leaves the grid/segment structure (and therefore the
-    /// stencil extraction and coarsening pattern) unchanged.
-    pub fn from_operator(
-        circuit: &ThermalCircuit,
-        fine: &CsrMatrix,
-        opts: MgOptions,
-    ) -> Option<Self> {
         let start = Instant::now();
+        let fine = circuit.conductance();
         let (rows, cols) = (circuit.grid_rows(), circuit.grid_cols());
         if rows.min(cols) <= opts.coarsest_dim {
             return None;

@@ -12,7 +12,7 @@
 
 use crate::cholesky::LdlFactor;
 use crate::circuit::ThermalCircuit;
-use crate::multigrid::{mg_pcg, MgOptions, Multigrid};
+use crate::multigrid::mg_pcg;
 use crate::sparse::{conjugate_gradient, CsrMatrix, SolveMethod, SolveStats};
 use std::cell::{Cell, RefCell};
 use std::error::Error;
@@ -313,15 +313,6 @@ fn relative_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
 /// path. Unconditionally stable, first-order accurate; choose `dt` well
 /// below the fastest time constant you care to resolve.
 ///
-/// At IR-camera grids (64×64 and up) LDLᵀ fill-in makes both the
-/// factorization and each back-substitution superlinear; there
-/// [`SolverChoice::Multigrid`] builds a hierarchy on the transient operator
-/// `C/dt + G` once per (circuit, dt) and each step is a warm-started MG-PCG
-/// solve whose iteration count stays flat in grid size (the previous frame
-/// is the warm start, so typical steps converge in a handful of V-cycles).
-/// [`auto`](BackwardEuler::auto) picks between the two by
-/// [`MG_AUTO_MIN_CELLS`].
-///
 /// [`new`]: BackwardEuler::new
 /// [`step`]: BackwardEuler::step
 ///
@@ -350,13 +341,9 @@ pub struct BackwardEuler<'c> {
     dt: f64,
     a: CsrMatrix,
     c_over_dt: Vec<f64>,
-    /// Cached LDLᵀ of `a`; `None` means an iterative path (chosen explicitly
-    /// or because factorization hit a non-positive pivot).
+    /// Cached LDLᵀ of `a`; `None` means the CG path (chosen explicitly or
+    /// because factorization hit a non-positive pivot).
     factor: Option<LdlFactor>,
-    /// Cached multigrid hierarchy built on `a = C/dt + G`
-    /// ([`Multigrid::from_operator`]); `None` means the plain-CG path. Built
-    /// once per (circuit, dt) at construction, reused by every step.
-    mg: Option<Multigrid>,
     /// Solves performed against `a` so far (telemetry; see
     /// [`SolveStats::solve_count`]).
     solve_count: Cell<usize>,
@@ -401,27 +388,9 @@ impl<'c> BackwardEuler<'c> {
         Self::with_solver(circuit, dt, SolverChoice::Direct)
     }
 
-    /// Creates a stepper with the solver auto-selected by grid size, the
-    /// transient analogue of [`solve_steady`]'s rule: LDLᵀ below
-    /// [`MG_AUTO_MIN_CELLS`] cells per layer (the factor stays sparse and a
-    /// step is two triangular sweeps), MG-preconditioned CG at camera grids
-    /// and above (64×64+), where LDLᵀ fill-in makes both the factorization
-    /// and each back-substitution superlinear while MG's warm-started
-    /// iteration count stays flat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive and finite.
-    pub fn auto(circuit: &'c ThermalCircuit, dt: f64) -> Self {
-        let solver = if circuit.cell_count() >= MG_AUTO_MIN_CELLS {
-            SolverChoice::Multigrid
-        } else {
-            SolverChoice::Direct
-        };
-        Self::with_solver(circuit, dt, solver)
-    }
-
-    /// Creates a stepper with an explicit [`SolverChoice`].
+    /// Creates a stepper with an explicit [`SolverChoice`]: `Direct` factors
+    /// the operator once; every other choice steps on warm-started CG
+    /// (qualifying stacks should use `greens::SpectralTransient` directly).
     ///
     /// # Panics
     ///
@@ -430,19 +399,9 @@ impl<'c> BackwardEuler<'c> {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive, got {dt}");
         let c_over_dt: Vec<f64> = circuit.capacitance().iter().map(|c| c / dt).collect();
         let a = circuit.conductance().add_diagonal(&c_over_dt);
-        let (factor, mg) = match solver {
-            SolverChoice::Direct => (LdlFactor::factor(&a).ok(), None),
-            // The hierarchy is built on the *transient* operator `C/dt + G`
-            // — the added diagonal only strengthens diagonal dominance, so
-            // the steady coarsening transfers unchanged. Grids too small for
-            // a hierarchy fall through to plain CG.
-            SolverChoice::Multigrid => {
-                (None, Multigrid::from_operator(circuit, &a, MgOptions::default()))
-            }
-            // The spectral response is factored for `G` alone; a transient
-            // request on that choice steps on the plain CG path (qualifying
-            // stacks should use `greens::SpectralTransient` directly).
-            SolverChoice::Cg | SolverChoice::Spectral => (None, None),
+        let factor = match solver {
+            SolverChoice::Direct => LdlFactor::factor(&a).ok(),
+            SolverChoice::Cg | SolverChoice::Multigrid | SolverChoice::Spectral => None,
         };
         Self {
             circuit,
@@ -450,7 +409,6 @@ impl<'c> BackwardEuler<'c> {
             a,
             c_over_dt,
             factor,
-            mg,
             solve_count: Cell::new(0),
             scratch: RefCell::new(StepScratch::default()),
             last_residual: Cell::new(0.0),
@@ -463,23 +421,14 @@ impl<'c> BackwardEuler<'c> {
         self.dt
     }
 
-    /// The solver actually in use: [`SolverChoice::Cg`] when asked for, when
-    /// the direct factorization failed at construction, or when the grid was
-    /// too small for a multigrid hierarchy.
+    /// The solver actually in use: [`SolverChoice::Direct`] when the
+    /// factorization succeeded, [`SolverChoice::Cg`] otherwise.
     pub fn solver(&self) -> SolverChoice {
         if self.factor.is_some() {
             SolverChoice::Direct
-        } else if self.mg.is_some() {
-            SolverChoice::Multigrid
         } else {
             SolverChoice::Cg
         }
-    }
-
-    /// Levels in the cached transient multigrid hierarchy (0 off the MG
-    /// path).
-    pub fn mg_levels(&self) -> usize {
-        self.mg.as_ref().map_or(0, Multigrid::level_count)
     }
 
     /// Stored non-zeros of the cached factor's `L` (0 on the CG path).
@@ -518,7 +467,6 @@ impl<'c> BackwardEuler<'c> {
         }
         let n = state.len();
         let cg_cap = 40 * n + 1000;
-        let mut cap = cg_cap;
         self.solve_count.set(self.solve_count.get() + 1);
         let stats = match &self.factor {
             Some(factor) => {
@@ -553,28 +501,17 @@ impl<'c> BackwardEuler<'c> {
                 }
             }
             None => {
-                // Both iterative paths warm-start from `state`, which still
-                // holds the previous frame — successive frames differ by
-                // O(dt), so the initial residual is already small.
-                let mut stats = match &self.mg {
-                    Some(mg) => {
-                        cap = MG_MAX_ITERS;
-                        let mut s = mg_pcg(mg, b, state, DEFAULT_TOL, MG_MAX_ITERS);
-                        // Charge the one-time hierarchy construction to the
-                        // first step, like the direct path's factorization.
-                        s.factor_seconds =
-                            if self.solve_count.get() == 1 { mg.setup_seconds() } else { 0.0 };
-                        s
-                    }
-                    None => conjugate_gradient(&self.a, b, state, DEFAULT_TOL, cg_cap),
-                };
+                // CG warm-starts from `state`, which still holds the previous
+                // frame — successive frames differ by O(dt), so the initial
+                // residual is already small.
+                let mut stats = conjugate_gradient(&self.a, b, state, DEFAULT_TOL, cg_cap);
                 stats.solve_count = self.solve_count.get();
                 stats
             }
         };
         // A CG-polished direct check that ran out of iterations surfaces the
         // cap the same way the plain CG path does.
-        finish_iterative(stats, cap)
+        finish_iterative(stats, cg_cap)
     }
 
     /// Advances `state` by `duration` seconds in fixed steps. A trailing
@@ -1000,77 +937,6 @@ mod tests {
         for (a, b) in cached.iter().zip(&fresh) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn backward_euler_multigrid_matches_direct_stepping() {
-        // The MG-PCG transient path must reproduce the direct trajectory:
-        // same recurrence, different linear solver, DEFAULT_TOL per step.
-        let c = air_circuit(16);
-        let p: Vec<f64> = (0..256).map(|i| 0.2 + 0.05 * (i % 11) as f64).collect();
-        let dt = 0.01;
-        let direct = BackwardEuler::new(&c, dt);
-        let mg = BackwardEuler::with_solver(&c, dt, SolverChoice::Multigrid);
-        assert_eq!(direct.solver(), SolverChoice::Direct);
-        assert_eq!(mg.solver(), SolverChoice::Multigrid, "16×16 must build a hierarchy");
-        assert!(mg.mg_levels() >= 2, "hierarchy has {} levels", mg.mg_levels());
-        let mut s_direct = vec![AMBIENT; c.node_count()];
-        let mut s_mg = vec![AMBIENT; c.node_count()];
-        for _ in 0..50 {
-            direct.step(&mut s_direct, &p, AMBIENT).unwrap();
-            let stats = mg.step(&mut s_mg, &p, AMBIENT).unwrap();
-            assert_eq!(stats.method, SolveMethod::MgCg);
-            assert!(stats.converged);
-        }
-        // The per-step 1e-10 *relative* residual is against a right-hand
-        // side dominated by C/dt·T (~3e4 here), so each step can be off by
-        // ~1e-6 K absolute; 50 steps accumulate to a few 1e-5 K.
-        let max_diff = max_node_diff(&s_direct, &s_mg);
-        assert!(max_diff <= 1e-4, "max node diff after 50 steps {max_diff}");
-    }
-
-    #[test]
-    fn backward_euler_multigrid_warm_start_cuts_iterations() {
-        // After the cold first step, the warm start (previous frame) should
-        // keep the per-step MG-PCG iteration count small and no larger than
-        // the cold solve's.
-        let c = air_circuit(16);
-        let p = vec![0.5; 256];
-        let mg = BackwardEuler::with_solver(&c, 0.01, SolverChoice::Multigrid);
-        let mut state = vec![AMBIENT; c.node_count()];
-        let first = mg.step(&mut state, &p, AMBIENT).unwrap();
-        let mut warm_max = 0;
-        for _ in 0..10 {
-            let s = mg.step(&mut state, &p, AMBIENT).unwrap();
-            warm_max = warm_max.max(s.iterations);
-        }
-        assert!(
-            warm_max <= first.iterations,
-            "warm steps took {warm_max} iters vs cold {}",
-            first.iterations
-        );
-        assert!(warm_max < 30, "warm MG-PCG should converge in a handful of cycles: {warm_max}");
-    }
-
-    #[test]
-    fn backward_euler_multigrid_small_grid_falls_back_to_cg() {
-        // 8×8 is at the coarsest-level size; no hierarchy can be built and
-        // the stepper must degrade to plain CG, not fail.
-        let c = air_circuit(8);
-        let be = BackwardEuler::with_solver(&c, 0.01, SolverChoice::Multigrid);
-        assert_eq!(be.solver(), SolverChoice::Cg);
-        assert_eq!(be.mg_levels(), 0);
-        let mut state = vec![AMBIENT; c.node_count()];
-        be.step(&mut state, &vec![1.0; 64], AMBIENT).unwrap();
-        assert!(state[0] > AMBIENT);
-    }
-
-    #[test]
-    fn backward_euler_auto_picks_by_grid_size() {
-        let small = oil_circuit(8);
-        assert_eq!(BackwardEuler::auto(&small, 0.01).solver(), SolverChoice::Direct);
-        let large = air_circuit(64); // 4096 cells = MG_AUTO_MIN_CELLS
-        assert_eq!(BackwardEuler::auto(&large, 0.01).solver(), SolverChoice::Multigrid);
     }
 
     /// Two-package PCB board circuit at the board's shared `rows × rows`
