@@ -48,7 +48,7 @@ use hotiron_floorplan::{library, Floorplan, GridMapping};
 use hotiron_thermal::circuit::{CircuitCache, DieGeometry};
 use hotiron_thermal::solve::{solve_steady, solve_steady_with, SolveError, SolverChoice};
 use hotiron_thermal::sparse::SolveStats;
-use hotiron_thermal::units::{celsius_to_kelvin, kelvin_to_celsius};
+use hotiron_thermal::units::{celsius_to_kelvin, kelvin_to_celsius, ZERO_CELSIUS};
 use hotiron_thermal::{fluid, materials, Boundary, FlowDirection, Layer, LayerStack, OilFilm};
 use hotiron_thermal::{Board, BoardError, PcbSpec, Placement, Rotation, ViaField};
 use hotiron_thermal::{Fluid, Material, PowerMap};
@@ -94,6 +94,10 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioError {
 /// Largest accepted wattage of one source or block: far beyond any package,
 /// small enough that power densities and temperatures stay finite.
 const MAX_WATTS: f64 = 1e6;
+
+/// Hottest accepted ambient, °C. The coldest must lie above absolute zero;
+/// both bounds keep every solver's temperatures physical and finite.
+const MAX_AMBIENT_C: f64 = 1e6;
 
 /// Which floorplan the die carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,7 +347,8 @@ fn parse_f64(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
         .ok_or_else(|| err(ln, format!("bad number `{s}` for key `{key}`")))
 }
 
-/// Parses a finite, strictly positive number (a die dimension).
+/// Parses a finite, strictly positive number (a dimension, resistance or
+/// velocity).
 fn parse_positive(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
     let v = parse_f64(ln, key, s)?;
     if v <= 0.0 {
@@ -361,6 +366,18 @@ fn parse_watts(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
     Ok(v)
 }
 
+/// Parses an ambient temperature in °C within `(-273.15, MAX_AMBIENT_C]`.
+fn parse_ambient(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
+    let v = parse_f64(ln, key, s)?;
+    if !(v > -ZERO_CELSIUS && v <= MAX_AMBIENT_C) {
+        return Err(err(
+            ln,
+            format!("`{key}` must lie in (-{ZERO_CELSIUS}, {MAX_AMBIENT_C:e}] °C, got `{s}`"),
+        ));
+    }
+    Ok(v)
+}
+
 fn parse_usize(ln: usize, key: &str, s: &str) -> Result<usize, ScenarioError> {
     s.parse().map_err(|_| err(ln, format!("bad number `{s}` for key `{key}`")))
 }
@@ -370,7 +387,7 @@ fn parse_boundary(ln: usize, key: &str, value: &str) -> Result<Boundary, Scenari
     match words.as_slice() {
         ["insulated"] => Ok(Boundary::Insulated),
         ["lumped", r, c] => Ok(Boundary::Lumped {
-            r_total: parse_f64(ln, key, r)?,
+            r_total: parse_positive(ln, key, r)?,
             c_total: parse_f64(ln, key, c)?,
         }),
         ["oil", fl, v, dir, locality] => {
@@ -387,7 +404,7 @@ fn parse_boundary(ln: usize, key: &str, value: &str) -> Result<Boundary, Scenari
             };
             Ok(Boundary::OilFilm(OilFilm {
                 fluid,
-                velocity: parse_f64(ln, key, v)?,
+                velocity: parse_positive(ln, key, v)?,
                 direction,
                 local_h: local,
                 local_boundary_layer: local,
@@ -421,7 +438,7 @@ fn parse_layer(ln: usize, value: &str) -> Result<LayerSpec, ScenarioError> {
     let words: Vec<&str> = value.split_whitespace().collect();
     let (base, side) = match words.as_slice() {
         [n, m, t] => ((*n, *m, *t), None),
-        [n, m, t, "plate", s] => ((*n, *m, *t), Some(parse_f64(ln, "layer", s)?)),
+        [n, m, t, "plate", s] => ((*n, *m, *t), Some(parse_positive(ln, "layer", s)?)),
         _ => {
             return Err(err(
                 ln,
@@ -437,7 +454,7 @@ fn parse_layer(ln: usize, value: &str) -> Result<LayerSpec, ScenarioError> {
     Ok(LayerSpec {
         name: name.to_owned(),
         material,
-        thickness: parse_f64(ln, "layer", thick)?,
+        thickness: parse_positive(ln, "layer", thick)?,
         side,
     })
 }
@@ -700,7 +717,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                         .ok_or_else(|| err(ln, format!("unknown solver `{value}`")))?,
                 );
             }
-            ("solve", "ambient") => ambient_c = Some(parse_f64(ln, key, value)?),
+            ("solve", "ambient") => ambient_c = Some(parse_ambient(ln, key, value)?),
             ("output", "field") => {
                 field = Some(match value {
                     "true" => true,
@@ -1591,6 +1608,11 @@ mod tests {
             ("uniform 5", "uniform -40", 14, "`source` watts must lie in"),
             ("uniform 5", "uniform 1e308", 14, "`source` watts must lie in"),
             ("source = uniform 5", "block = sched -3", 14, "`block` watts must lie in"),
+            ("5e-4", "0", 11, "`layer` must be positive"),
+            ("5e-4", "5e-4 plate 0", 11, "`layer` must be positive"),
+            ("lumped 1 10", "lumped 0 30", 12, "`top` must be positive"),
+            ("lumped 1 10", "oil mineral-oil 0 left-to-right local", 12, "`top` must be positive"),
+            ("lumped 1 10", "oil mineral-oil -5 left-to-right local", 12, "`top` must be positive"),
         ] {
             let e = parse(&base.replace(from, to)).expect_err(to);
             assert_eq!(e.line, line, "{to}: {e}");
@@ -1602,6 +1624,15 @@ mod tests {
             let e = parse(&duo.replacen(from, to, 1)).expect_err(to);
             assert_eq!(e.line, line, "{to}: {e}");
             assert!(e.message.contains("must be positive"), "{to}: {e}");
+        }
+        for ambient in ["-300", "-273.15", "1e10", "1e200", "1e308"] {
+            let e = parse(&format!("{base}[solve]\nambient = {ambient}\n")).expect_err(ambient);
+            assert_eq!(e.line, 16, "{ambient}: {e}");
+            assert!(e.message.contains("`ambient` must lie in"), "{ambient}: {e}");
+        }
+        for (ambient, want) in [("-273", -273.0), ("1e6", 1e6)] {
+            let sc = parse(&format!("{base}[solve]\nambient = {ambient}\n")).expect(ambient);
+            assert_eq!(sc.ambient_c, want);
         }
     }
 

@@ -8,6 +8,7 @@ use hotiron_powersim::{engine::SyntheticCpu, uarch, workload, Workload};
 use hotiron_thermal::{
     AirSinkPackage, ModelConfig, OilSiliconPackage, Package, PowerMap, ThermalModel,
 };
+use std::sync::OnceLock;
 
 /// The five hottest blocks plotted in the paper's Fig 12.
 pub const FIG12_BLOCKS: [&str; 5] = ["Dcache", "Bpred", "IntReg", "IntExec", "LdStQ"];
@@ -87,19 +88,12 @@ impl TraceRun {
     }
 }
 
-/// Runs the Fig 12 trace for one package. `Fast` runs are memoized so the
-/// test-suite's repeated calls share one simulation.
+/// Runs the Fig 12 trace for one package. Runs are memoized per fidelity
+/// and package, so Fig 12 and the sensing experiment (and the test suite's
+/// repeated calls) share one simulation.
 pub fn trace_run(fidelity: Fidelity, cfg: TraceConfig) -> TraceRun {
-    if fidelity == Fidelity::Fast {
-        static FAST_AIR: std::sync::OnceLock<TraceRun> = std::sync::OnceLock::new();
-        static FAST_OIL: std::sync::OnceLock<TraceRun> = std::sync::OnceLock::new();
-        let cell = match cfg {
-            TraceConfig::AirSink => &FAST_AIR,
-            TraceConfig::OilSilicon => &FAST_OIL,
-        };
-        return cell.get_or_init(|| trace_run_uncached(fidelity, cfg)).clone();
-    }
-    trace_run_uncached(fidelity, cfg)
+    static RUNS: [[OnceLock<TraceRun>; 2]; 2] = [const { [const { OnceLock::new() }; 2] }; 2];
+    RUNS[fidelity as usize][cfg as usize].get_or_init(|| trace_run_uncached(fidelity, cfg)).clone()
 }
 
 fn trace_run_uncached(fidelity: Fidelity, cfg: TraceConfig) -> TraceRun {

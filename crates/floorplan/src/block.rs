@@ -111,11 +111,6 @@ impl Block {
         (self.left + 0.5 * self.width, self.bottom + 0.5 * self.height)
     }
 
-    /// Whether the point `(x, y)` lies inside (or on the boundary of) the block.
-    pub fn contains(&self, x: f64, y: f64) -> bool {
-        x >= self.left && x <= self.right() && y >= self.bottom && y <= self.top()
-    }
-
     /// Area of overlap with another axis-aligned rectangle, in m².
     ///
     /// The rectangle is given as `(left, bottom, right, top)`.
@@ -167,16 +162,6 @@ mod tests {
     #[should_panic(expected = "invalid block geometry")]
     fn new_panics_on_bad_input() {
         let _ = Block::new("a", -1.0, 1.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn contains_is_inclusive() {
-        let b = Block::new("a", 1.0, 1.0, 0.0, 0.0);
-        assert!(b.contains(0.0, 0.0));
-        assert!(b.contains(1.0, 1.0));
-        assert!(b.contains(0.5, 0.5));
-        assert!(!b.contains(1.5, 0.5));
-        assert!(!b.contains(0.5, -0.1));
     }
 
     #[test]

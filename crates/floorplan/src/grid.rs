@@ -198,46 +198,6 @@ impl GridMapping {
         }
         out
     }
-
-    /// Area-weighted per-block average of an intensive per-cell field
-    /// (e.g. temperature in K). Returns one value per block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field.len()` differs from the cell count.
-    pub fn block_averages(&self, field: &[f64]) -> Vec<f64> {
-        assert_eq!(field.len(), self.cell_count(), "one value per cell required");
-        let mut out = vec![0.0; self.block_count];
-        for (bi, cells) in self.block_cells.iter().enumerate() {
-            let mut acc = 0.0;
-            let mut wsum = 0.0;
-            for &(ci, frac) in cells {
-                acc += field[ci] * frac;
-                wsum += frac;
-            }
-            out[bi] = if wsum > 0.0 { acc / wsum } else { 0.0 };
-        }
-        out
-    }
-
-    /// Per-block maximum of a per-cell field, considering only cells where
-    /// the block covers a majority of its own area share.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field.len()` differs from the cell count.
-    pub fn block_maxima(&self, field: &[f64]) -> Vec<f64> {
-        assert_eq!(field.len(), self.cell_count(), "one value per cell required");
-        let mut out = vec![f64::NEG_INFINITY; self.block_count];
-        for (bi, cells) in self.block_cells.iter().enumerate() {
-            for &(ci, _) in cells {
-                if field[ci] > out[bi] {
-                    out[bi] = field[ci];
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -290,27 +250,6 @@ mod tests {
         let cells = m.spread_block_values(&[3.0, 9.0]);
         let total: f64 = cells.iter().sum();
         assert!((total - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn averages_of_uniform_field() {
-        let m = GridMapping::new(&plan(), 6, 6);
-        let field = vec![321.5; m.cell_count()];
-        let avg = m.block_averages(&field);
-        for v in avg {
-            assert!((v - 321.5).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn maxima_pick_hottest_cell() {
-        let m = GridMapping::new(&plan(), 2, 2);
-        // Left column cells belong to "a", right column to "b".
-        let mut field = vec![300.0; 4];
-        field[m.cell_index(1, 0)] = 350.0;
-        let maxima = m.block_maxima(&field);
-        assert_eq!(maxima[0], 350.0);
-        assert_eq!(maxima[1], 300.0);
     }
 
     #[test]

@@ -167,12 +167,6 @@ impl Floorplan {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.blocks.iter().map(|b| b.name())
     }
-
-    /// The block containing point `(x, y)`, if any. Points on shared edges
-    /// resolve to the first block in insertion order.
-    pub fn block_at(&self, x: f64, y: f64) -> Option<&Block> {
-        self.blocks.iter().find(|b| b.contains(x, y))
-    }
 }
 
 impl<'a> IntoIterator for &'a Floorplan {
@@ -268,14 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn block_at_points() {
-        let p = two_block_plan();
-        assert_eq!(p.block_at(0.5, 0.5).unwrap().name(), "a");
-        assert_eq!(p.block_at(1.5, 0.5).unwrap().name(), "b");
-        assert!(p.block_at(5.0, 5.0).is_none());
-    }
-
-    #[test]
     fn iterates_in_order() {
         let p = two_block_plan();
         let names: Vec<_> = p.iter().map(|b| b.name().to_owned()).collect();
@@ -301,18 +287,6 @@ impl Floorplan {
             })
             .collect();
         Floorplan::new(blocks).expect("rotation preserves validity")
-    }
-
-    /// Returns the floorplan mirrored about the vertical axis
-    /// (left/right flipped).
-    pub fn mirrored_x(&self) -> Floorplan {
-        let w = self.width();
-        let blocks = self
-            .blocks
-            .iter()
-            .map(|b| Block::new(b.name(), b.width(), b.height(), w - b.right(), b.bottom()))
-            .collect();
-        Floorplan::new(blocks).expect("mirroring preserves validity")
     }
 }
 
@@ -347,20 +321,5 @@ mod transform_tests {
         // IntReg touched the top edge; after CCW rotation it touches the left.
         let b = r.block("IntReg").unwrap();
         assert!(b.left().abs() < 1e-12, "IntReg left edge {}", b.left());
-    }
-
-    #[test]
-    fn mirror_is_involutive() {
-        let p = crate::library::ev6();
-        let m = p.mirrored_x().mirrored_x();
-        for (x, y) in p.iter().zip(m.iter()) {
-            assert!((x.left() - y.left()).abs() < 1e-12);
-        }
-        // Mirroring moves IntReg from the right half to the left half.
-        let flipped = p.mirrored_x();
-        let b = p.block("IntReg").unwrap();
-        let bm = flipped.block("IntReg").unwrap();
-        assert!(b.center().0 > p.width() / 2.0);
-        assert!(bm.center().0 < p.width() / 2.0);
     }
 }

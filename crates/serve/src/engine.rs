@@ -394,6 +394,16 @@ mod tests {
             ("uniform 40", "uniform -40"),
             ("uniform 40", "uniform 1e308"),
             ("source = uniform 40", "block = sched -3"),
+            ("5e-4", "0"),
+            ("5e-4", "5e-4 plate 0"),
+            ("lumped 1 10", "lumped 0 30"),
+            ("lumped 1 10", "oil mineral-oil 0 left-to-right local"),
+            ("lumped 1 10", "oil mineral-oil -5 left-to-right local"),
+            ("uniform 40\n", "uniform 40\n[solve]\nambient = -300\n"),
+            ("uniform 40\n", "uniform 40\n[solve]\nambient = -273.15\n"),
+            ("uniform 40\n", "uniform 40\n[solve]\nambient = 1e10\n"),
+            ("uniform 40\n", "uniform 40\n[solve]\nambient = 1e200\n"),
+            ("uniform 40\n", "uniform 40\n[solve]\nambient = 1e308\n"),
         ] {
             let mut req = named("x");
             req.scenario = ScenarioSource::Inline(base.replace(from, to));

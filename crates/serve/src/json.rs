@@ -101,14 +101,6 @@ impl Json {
         }
     }
 
-    /// The member list, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

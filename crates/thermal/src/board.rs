@@ -221,13 +221,6 @@ impl Board {
         self
     }
 
-    /// Total conduction planes of the assembled circuit: every placement
-    /// layer plus the PCB plane when present.
-    pub fn plane_count(&self) -> usize {
-        self.placements.iter().map(|p| p.stack.layers.len()).sum::<usize>()
-            + usize::from(self.pcb.is_some())
-    }
-
     /// Checks the board, returning the first offending placement, via or
     /// PCB parameter.
     ///

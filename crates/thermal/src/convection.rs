@@ -162,12 +162,6 @@ impl LaminarFlow {
         0.332 * (self.fluid.conductivity() / x) * re_x.sqrt() * self.fluid.prandtl().cbrt()
     }
 
-    /// Local convective resistance over a patch of `area` m² centered at
-    /// distance `x` from the leading edge (Eqn 7), K/W.
-    pub fn local_resistance(&self, x: f64, area: f64) -> f64 {
-        1.0 / (self.local_h(x) * area)
-    }
-
     /// Thermal boundary-layer thickness at the trailing edge `δ_t` (Eqn 4), m.
     pub fn boundary_layer_thickness(&self) -> f64 {
         4.91 * self.length / (self.fluid.prandtl().cbrt() * self.reynolds().sqrt())

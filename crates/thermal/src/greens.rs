@@ -740,15 +740,9 @@ pub struct TransientState {
 }
 
 impl TransientState {
-    /// The exact energy ledger accumulated since construction (or the last
-    /// [`reset_ledger`](Self::reset_ledger)).
+    /// The exact energy ledger accumulated since construction.
     pub fn ledger(&self) -> &EnergyLedger {
         &self.ledger
-    }
-
-    /// Zeroes the ledger without touching the thermal state.
-    pub fn reset_ledger(&mut self) {
-        self.ledger = EnergyLedger::default();
     }
 }
 

@@ -35,7 +35,6 @@
 //! ```
 
 pub mod analytic;
-pub mod blockmodel;
 pub mod board;
 pub mod cholesky;
 pub mod circuit;
@@ -54,7 +53,6 @@ pub mod sparse;
 pub mod stack;
 pub mod units;
 
-pub use blockmodel::BlockModel;
 pub use board::{Board, BoardError, PcbSpec, Placement, Rotation, ViaField};
 pub use cholesky::{FactorError, LdlFactor};
 pub use circuit::{CacheCounters, CircuitCache};

@@ -60,12 +60,6 @@ impl Material {
         t / (self.conductivity * a)
     }
 
-    /// Lateral conduction resistance over length `len` (m) through a
-    /// cross-section `a` (m²), in K/W.
-    pub fn lateral_resistance(&self, len: f64, a: f64) -> f64 {
-        len / (self.conductivity * a)
-    }
-
     /// Heat capacity of a volume `v` (m³), in J/K.
     pub fn capacitance(&self, v: f64) -> f64 {
         self.volumetric_heat_capacity * v
@@ -127,10 +121,6 @@ mod tests {
         assert!((m.vertical_resistance(1e-3, 1e-4) - 1.0).abs() < 1e-12);
         // Doubling area halves resistance.
         assert!((m.vertical_resistance(1e-3, 2e-4) - 0.5).abs() < 1e-12);
-        // Doubling length doubles lateral resistance.
-        let r1 = m.lateral_resistance(1e-3, 1e-6);
-        let r2 = m.lateral_resistance(2e-3, 1e-6);
-        assert!((r2 / r1 - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -392,25 +392,10 @@ impl ThermalModel {
         *self.warm.lock().expect("warm-start cache poisoned") = Some(state);
     }
 
-    /// Clears the warm-start cache; the next steady solve starts cold.
-    pub fn clear_warm_start(&self) {
-        *self.warm.lock().expect("warm-start cache poisoned") = None;
-    }
-
     /// Telemetry of the most recent [`steady_state`](Self::steady_state)
     /// solve on this model, if any succeeded yet.
     pub fn last_solve_stats(&self) -> Option<SolveStats> {
         self.last_stats.lock().expect("stats cache poisoned").clone()
-    }
-
-    /// Wraps an externally computed state vector in a [`Solution`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` differs from the circuit's node count.
-    pub fn solution_from_state(&self, state: Vec<f64>) -> Solution<'_> {
-        assert_eq!(state.len(), self.circuit.node_count(), "state length mismatch");
-        Solution { model: self, state }
     }
 
     /// Creates a transient simulator starting from ambient.

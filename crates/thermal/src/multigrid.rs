@@ -701,11 +701,6 @@ impl Multigrid {
         self.setup_seconds
     }
 
-    /// Stored non-zeros of the coarsest-level LDLᵀ factor.
-    pub fn coarse_factor_nnz(&self) -> usize {
-        self.coarse_factor.nnz_l()
-    }
-
     /// The options the hierarchy was built with.
     pub fn options(&self) -> MgOptions {
         self.opts

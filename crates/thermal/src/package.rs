@@ -294,7 +294,7 @@ impl Package {
     /// Lowers the package into the open [`LayerStack`] IR for a given die.
     ///
     /// This is the *only* place the closed enum is interpreted; every
-    /// assembler (grid circuit, block model) consumes the resulting stack.
+    /// assembler consumes the resulting stack.
     /// A package's `target_r_convec` is resolved to a concrete oil velocity
     /// here, so the stack is self-contained.
     ///

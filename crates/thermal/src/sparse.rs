@@ -47,11 +47,6 @@ impl TripletMatrix {
         self.n
     }
 
-    /// Number of raw (pre-deduplication) entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Adds `value` at `(row, col)`; repeated additions accumulate.
     ///
     /// # Panics

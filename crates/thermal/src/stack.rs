@@ -261,16 +261,6 @@ impl LayerStack {
         &self.layers[self.si_index]
     }
 
-    /// Layers strictly above the silicon layer, bottom→top.
-    pub fn above_silicon(&self) -> &[Layer] {
-        &self.layers[self.si_index + 1..]
-    }
-
-    /// Layers strictly below the silicon layer, bottom→top.
-    pub fn below_silicon(&self) -> &[Layer] {
-        &self.layers[..self.si_index]
-    }
-
     /// Checks the stack against a die geometry, returning the first
     /// offending layer or boundary.
     ///
@@ -611,9 +601,6 @@ mod tests {
             1,
         );
         assert_eq!(s.silicon().name, "silicon");
-        assert_eq!(s.below_silicon().len(), 1);
-        assert_eq!(s.above_silicon().len(), 2);
-        assert_eq!(s.above_silicon()[1].name, "spreader");
     }
 
     #[test]

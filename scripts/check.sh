@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The full local gate: workspace audit, formatting, lints, docs, release
-# build, tests. CI (.github/workflows/ci.yml) runs these same steps, split
-# across jobs.
+# The full local gate: workspace audit, formatting, lints, docs, a perfbench
+# compile, release build, tests. CI (.github/workflows/ci.yml) runs these
+# same steps, split across jobs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,6 +35,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+# perfbench is its own workspace, so nothing above compiles it.
+echo "==> cargo check perfbench (--locked)"
+cargo check --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo build --release"
 cargo build --release

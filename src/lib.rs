@@ -56,7 +56,7 @@ pub mod prelude {
     };
     pub use hotiron_refsim::{OilModel, RefSim, RefSimConfig};
     pub use hotiron_thermal::{
-        units, AirSinkPackage, BlockModel, FlowDirection, LaminarFlow, ModelConfig,
-        OilSiliconPackage, Package, PowerMap, SecondaryPath, Solution, ThermalModel,
+        units, AirSinkPackage, FlowDirection, LaminarFlow, ModelConfig, OilSiliconPackage, Package,
+        PowerMap, SecondaryPath, Solution, ThermalModel,
     };
 }

@@ -185,10 +185,9 @@ fn pipeline_cpu_drives_the_thermal_model() {
 }
 
 #[test]
-fn block_and_grid_models_agree_on_flow_direction_ordering() {
-    // The fast block-mode model reproduces the Fig 11 directional ordering
-    // of IntReg that the grid model (and the paper) show.
-    use hotiron::thermal::BlockModel;
+fn grid_model_reproduces_flow_direction_ordering() {
+    // The grid model reproduces the Fig 11 directional ordering of IntReg
+    // that the paper shows.
     let plan = library::ev6();
     let cpu = SyntheticCpu::new(
         uarch::ev6_units(&plan).expect("ev6 units align to the floorplan"),
@@ -196,16 +195,6 @@ fn block_and_grid_models_agree_on_flow_direction_ordering() {
         42,
     );
     let power = PowerMap::from_vec(&plan, cpu.simulate(4_000).average());
-    let i = plan.block_index("IntReg").unwrap();
-    let block_t = |dir| {
-        let bm = BlockModel::new(
-            plan.clone(),
-            Package::OilSilicon(OilSiliconPackage::paper_default().with_direction(dir)),
-            0.5e-3,
-            318.15,
-        );
-        bm.steady_celsius(&power).unwrap()[i]
-    };
     let grid_t = |dir| {
         let m = ThermalModel::new(
             plan.clone(),
@@ -219,7 +208,6 @@ fn block_and_grid_models_agree_on_flow_direction_ordering() {
     for (a, b) in
         [(BottomToTop, LeftToRight), (LeftToRight, RightToLeft), (RightToLeft, TopToBottom)]
     {
-        assert!(block_t(a) > block_t(b), "block model: {a:?} hotter than {b:?}");
         assert!(grid_t(a) > grid_t(b), "grid model: {a:?} hotter than {b:?}");
     }
 }
