@@ -1225,6 +1225,25 @@ pub struct Solution {
     pub pcb: Option<PcbReadout>,
 }
 
+/// The first inline oracle: every state value is finite and the energy
+/// ledger balances; returns the ledger's relative error. Both tests fail
+/// closed on NaN, which every `>`/`<` comparison would let through. A
+/// failure blames the solver ([`ErrorKind::Solve`]): the scenario already
+/// passed parsing and lowering.
+fn check_ledger(state: &[f64], power_in: f64, heat_out: f64) -> Result<f64, ScenarioError> {
+    let fault = |message: String| ScenarioError { kind: ErrorKind::Solve, ..err(0, message) };
+    if let Some(node) = state.iter().position(|t| !t.is_finite()) {
+        return Err(fault(format!("non-finite temperature {} K at node {node}", state[node])));
+    }
+    let energy_rel = (power_in - heat_out).abs() / power_in.abs().max(f64::MIN_POSITIVE);
+    if energy_rel.is_nan() || energy_rel > ENERGY_REL_TOL {
+        return Err(fault(format!(
+            "energy balance violated: {power_in:.6} W in vs {heat_out:.6} W out (rel {energy_rel:.3e})"
+        )));
+    }
+    Ok(energy_rel)
+}
+
 /// Runs one scenario end-to-end: lower it to a board, assemble (through the
 /// content-hash circuit cache), solve steady state, check the energy-balance
 /// and maximum-principle invariants inline, and report.
@@ -1289,13 +1308,7 @@ pub fn run_in(
     let power_in: f64 = cell_power.iter().sum();
     let heat_out: f64 =
         circuit.ambient_conductance().iter().zip(&state).map(|(g, t)| g * (t - ambient)).sum();
-    let energy_rel = (power_in - heat_out).abs() / power_in.abs().max(f64::MIN_POSITIVE);
-    if energy_rel > ENERGY_REL_TOL {
-        return Err(err(
-            0,
-            format!("energy balance violated: {power_in:.6} W in vs {heat_out:.6} W out (rel {energy_rel:.3e})"),
-        ));
-    }
+    let energy_rel = check_ledger(&state, power_in, heat_out)?;
     let global_max = state.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let global_min = state.iter().copied().fold(f64::INFINITY, f64::min);
     if global_min < ambient - BELOW_AMBIENT_TOL {
@@ -1549,6 +1562,23 @@ pub fn stacks_table(fidelity: Fidelity) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ledger_oracle_rejects_non_finite_state() {
+        let ok = check_ledger(&[320.0, 330.0], 10.0, 10.0).expect("balanced, finite");
+        assert_eq!(ok, 0.0);
+        let e = check_ledger(&[320.0, f64::NAN], 10.0, 10.0).expect_err("NaN node");
+        assert_eq!(e.kind, ErrorKind::Solve);
+        assert!(e.message.contains("non-finite temperature NaN K at node 1"), "{e}");
+        let e = check_ledger(&[f64::INFINITY], 10.0, 10.0).expect_err("infinite node");
+        assert_eq!(e.kind, ErrorKind::Solve);
+        // A NaN ledger fails the balance test instead of slipping past `>`.
+        let e = check_ledger(&[320.0], 10.0, f64::NAN).expect_err("NaN heat out");
+        assert_eq!(e.kind, ErrorKind::Solve);
+        assert!(e.message.contains("energy balance violated"), "{e}");
+        let e = check_ledger(&[320.0], 10.0, 9.0).expect_err("1 W missing");
+        assert_eq!(e.kind, ErrorKind::Solve);
+    }
 
     #[test]
     fn shipped_scenarios_round_trip() {

@@ -47,7 +47,8 @@ const MG_MAX_ITERS: usize = 200;
 /// back to CG when the grid is too small for a hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
-    /// Sparse LDLᵀ factorization with RCM ordering ([`LdlFactor`]).
+    /// Sparse LDLᵀ factorization ([`LdlFactor`]) under RCM ordering with
+    /// hub rows last ([`crate::sparse::reverse_cuthill_mckee`]).
     #[default]
     Direct,
     /// Jacobi-preconditioned conjugate gradient with warm starts.
@@ -163,15 +164,15 @@ pub fn solve_steady(
 /// Solves the steady-state system with an explicit [`SolverChoice`].
 ///
 /// With [`SolverChoice::Direct`] the conductance matrix is factored
-/// (LDLᵀ, RCM-ordered), solved, and the residual verified against
-/// [`DEFAULT_TOL`]. The factorization is memoized on the circuit
-/// ([`ThermalCircuit::steady_factor_with_setup`]) so repeated solves of a
-/// shared circuit pay it once; the returned stats carry factorization
-/// telemetry (`factor_seconds` — zero when the cached factor was reused —
-/// and `factor_nnz`). A non-positive pivot — the operator is not SPD,
-/// e.g. a floating node — falls back to CG, whose diagnostics (panic on
-/// non-positive diagonal, [`SolveError::NotConverged`]) localize the
-/// problem.
+/// (LDLᵀ, RCM-ordered with hub rows last), solved, and the residual
+/// verified against [`DEFAULT_TOL`]. The factorization is memoized on the
+/// circuit ([`ThermalCircuit::steady_factor_with_setup`]) so repeated
+/// solves of a shared circuit pay it once; the returned stats carry
+/// factorization telemetry (`factor_seconds` — zero when the cached factor
+/// was reused — and `factor_nnz`). A non-positive pivot — the operator is
+/// not SPD, e.g. a floating node — falls back to CG, whose diagnostics
+/// (panic on non-positive diagonal, [`SolveError::NotConverged`]) localize
+/// the problem.
 ///
 /// # Errors
 ///
@@ -1039,5 +1040,27 @@ mod tests {
             }
             other => panic!("expected StepUnderflow, got {other:?}"),
         }
+    }
+
+    /// EV6 under the paper's AIR-SINK package (fig6's and paper-air's
+    /// operators) on a `rows × rows` grid.
+    fn ev6_air_circuit(rows: usize) -> ThermalCircuit {
+        let plan = library::ev6();
+        let die = DieGeometry { width: plan.width(), height: plan.height(), thickness: 0.5e-3 };
+        let map = GridMapping::new(&plan, rows, rows);
+        build_circuit(&map, die, &Package::AirSink(AirSinkPackage::paper_default())).unwrap()
+    }
+
+    #[test]
+    fn air_sink_factors_stay_sparse() {
+        // The lumped convection node and the spreader/sink rings couple to
+        // whole layers; ordered inside the RCM sweep they blew these factors
+        // up to 980,874 and 190,330 entries.
+        let c = ev6_air_circuit(24);
+        let c_over_dt: Vec<f64> = c.capacitance().iter().map(|cap| cap / 0.002).collect();
+        let be = LdlFactor::factor(&c.conductance().add_diagonal(&c_over_dt)).unwrap();
+        assert!(be.nnz_l() < 200_000, "fig6 AIR backward-Euler nnz(L) = {}", be.nnz_l());
+        let steady = LdlFactor::factor(ev6_air_circuit(16).conductance()).unwrap();
+        assert!(steady.nnz_l() < 60_000, "paper-air steady nnz(L) = {}", steady.nnz_l());
     }
 }

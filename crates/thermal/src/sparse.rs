@@ -434,7 +434,7 @@ pub fn conjugate_gradient(
     finish(max_iter, res, false)
 }
 
-/// Reverse Cuthill–McKee fill-reducing ordering.
+/// Reverse Cuthill–McKee fill-reducing ordering, with hub rows set aside.
 ///
 /// Returns a permutation `perm` with `perm[new] = old`: the node that lands
 /// at position `new` in the reordered matrix. On mesh-like graphs (thermal RC
@@ -447,19 +447,45 @@ pub fn conjugate_gradient(
 /// neighbors in ascending-degree order, then reverse the whole sequence.
 /// Disconnected components are handled by restarting from the unvisited node
 /// of minimum degree.
+///
+/// Hub rows are kept out of the BFS and appended last, in ascending degree
+/// (ties by index). A hub is a row whose degree (stored entries, diagonal
+/// included) exceeds `max(⌊√n⌋, 4 × median degree)`. A hub coupled to a
+/// whole layer — AIR-SINK's lumped convection node, the spreader and sink
+/// perimeter rings — would otherwise pull every cell it touches into one BFS
+/// level and widen the profile to the layer size; eliminated last, it only
+/// adds its own dense row to `L`. The two terms of the threshold:
+///
+/// - `⌊√n⌋` catches the perimeter rings: a ring around a `g × g` layer has
+///   degree ≈ `4g`, while `√n ≈ g·√layers` stays below that for fewer than
+///   16 layers.
+/// - `4 × median degree` keeps stencil rows from counting as hubs: the 9- to
+///   27-point rows of the multigrid Galerkin coarse operators sit near the
+///   median of their own matrix, however small `n` is.
+///
+/// A matrix with no hub (every OIL-SILICON stack) gets the plain RCM order.
 pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Vec<usize> {
     let n = a.dim();
     let degree: Vec<usize> = (0..n).map(|i| a.row(i).count()).collect();
+    let mut sorted = degree.clone();
+    let median = if n == 0 { 0 } else { *sorted.select_nth_unstable(n / 2).1 };
+    let hub_degree = n.isqrt().max(4 * median);
+    let mut hubs: Vec<usize> = (0..n).filter(|&i| degree[i] > hub_degree).collect();
+    hubs.sort_by_key(|&i| degree[i]);
     let mut order: Vec<usize> = Vec::with_capacity(n);
+    // Hubs start out visited, so the BFS below never enters them.
     let mut visited = vec![false; n];
+    for &h in &hubs {
+        visited[h] = true;
+    }
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     let mut neighbors: Vec<usize> = Vec::new();
-    while order.len() < n {
+    while order.len() + hubs.len() < n {
         // Unvisited node of minimum degree starts the next component.
         let start = (0..n)
             .filter(|&i| !visited[i])
             .min_by_key(|&i| degree[i])
-            .expect("order.len() < n implies an unvisited node exists");
+            .expect("order.len() + hubs.len() < n implies an unvisited node exists");
         visited[start] = true;
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
@@ -474,6 +500,7 @@ pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Vec<usize> {
         }
     }
     order.reverse();
+    order.extend(hubs);
     order
 }
 
@@ -600,14 +627,15 @@ mod tests {
 
     #[test]
     fn rcm_is_a_permutation() {
-        let a = laplacian_1d(37);
-        let perm = reverse_cuthill_mckee(&a);
-        let mut seen = [false; 37];
-        for &p in &perm {
-            assert!(!seen[p], "duplicate index {p}");
-            seen[p] = true;
+        for a in [laplacian_1d(37), layered_grid_with_hubs(10, 3).0] {
+            let perm = reverse_cuthill_mckee(&a);
+            let mut seen = vec![false; a.dim()];
+            for &p in &perm {
+                assert!(!seen[p], "duplicate index {p}");
+                seen[p] = true;
+            }
+            assert!(seen.iter().all(|&s| s));
         }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
@@ -654,6 +682,70 @@ mod tests {
             seen[p] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// `layers` stacked `g × g` grids (5-point in-layer stencil, vertical
+    /// links between layers), a ring node coupled to the perimeter of the
+    /// middle layer, and a convection hub coupled to every top-layer cell.
+    /// Returns the matrix and the indices of the ring and the hub.
+    fn layered_grid_with_hubs(g: usize, layers: usize) -> (CsrMatrix, usize, usize) {
+        let cell = |l: usize, r: usize, c: usize| (l * g + r) * g + c;
+        let (ring, hub) = (layers * g * g, layers * g * g + 1);
+        let mut t = TripletMatrix::new(layers * g * g + 2);
+        for l in 0..layers {
+            for r in 0..g {
+                for c in 0..g {
+                    let i = cell(l, r, c);
+                    if c + 1 < g {
+                        t.stamp_conductance(i, cell(l, r, c + 1), 1.0);
+                    }
+                    if r + 1 < g {
+                        t.stamp_conductance(i, cell(l, r + 1, c), 1.0);
+                    }
+                    if l + 1 < layers {
+                        t.stamp_conductance(i, cell(l + 1, r, c), 1.0);
+                    }
+                    if l == layers / 2 && (r == 0 || c == 0 || r + 1 == g || c + 1 == g) {
+                        t.stamp_conductance(i, ring, 1.0);
+                    }
+                    if l + 1 == layers {
+                        t.stamp_conductance(i, hub, 1.0);
+                    }
+                }
+            }
+        }
+        t.stamp_grounded_conductance(hub, 1.0);
+        (t.to_csr(), ring, hub)
+    }
+
+    #[test]
+    fn rcm_orders_hubs_last_by_ascending_degree() {
+        let (a, ring, hub) = layered_grid_with_hubs(10, 3);
+        let perm = reverse_cuthill_mckee(&a);
+        // The ring (degree 37) precedes the hub (degree 101).
+        assert_eq!(perm[a.dim() - 2..], [ring, hub]);
+    }
+
+    #[test]
+    fn rcm_keeps_plain_order_without_hubs() {
+        // A 4×3 grid with one grounded corner has no hub, so it keeps the
+        // plain RCM order exactly.
+        let (nx, ny) = (4, 3);
+        let mut t = TripletMatrix::new(nx * ny);
+        for y in 0..ny {
+            for x in 0..nx {
+                let i = y * nx + x;
+                if x + 1 < nx {
+                    t.stamp_conductance(i, i + 1, 1.0);
+                }
+                if y + 1 < ny {
+                    t.stamp_conductance(i, i + nx, 1.0);
+                }
+            }
+        }
+        t.stamp_grounded_conductance(0, 1.0);
+        let perm = reverse_cuthill_mckee(&t.to_csr());
+        assert_eq!(perm, [11, 10, 7, 9, 6, 3, 8, 5, 2, 4, 1, 0]);
     }
 
     #[test]
