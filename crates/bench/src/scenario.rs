@@ -9,7 +9,7 @@
 //! ```text
 //! [scenario]  name, title
 //! [die]       plan (uniform | ev6 | athlon64 | center-source), width, height
-//! [grid]      rows, cols
+//! [grid]      rows, cols (each 1..=MAX_GRID_SIDE)
 //! [stack]     layer (repeated, bottom→top), silicon, bottom, top
 //! [power]     source (uniform W | gcc) or repeated block = <name> <W>
 //! [solve]     solver (auto | direct | cg | multigrid), ambient (°C)
@@ -94,6 +94,11 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioError {
 /// Largest accepted wattage of one source or block: far beyond any package,
 /// small enough that power densities and temperatures stay finite.
 const MAX_WATTS: f64 = 1e6;
+
+/// Largest accepted `[grid] rows`/`cols`. A side is checked at parse time,
+/// before anything is allocated: an unbounded grid (say 20000×20000) aborts
+/// the process on allocation. 512 admits the largest served grid, 256².
+pub const MAX_GRID_SIDE: usize = 512;
 
 /// Hottest accepted ambient, °C. The coldest must lie above absolute zero;
 /// both bounds keep every solver's temperatures physical and finite.
@@ -378,8 +383,13 @@ fn parse_ambient(ln: usize, key: &str, s: &str) -> Result<f64, ScenarioError> {
     Ok(v)
 }
 
-fn parse_usize(ln: usize, key: &str, s: &str) -> Result<usize, ScenarioError> {
-    s.parse().map_err(|_| err(ln, format!("bad number `{s}` for key `{key}`")))
+/// Parses a grid side within `1..=MAX_GRID_SIDE`.
+fn parse_grid_side(ln: usize, key: &str, s: &str) -> Result<usize, ScenarioError> {
+    let v: usize = s.parse().map_err(|_| err(ln, format!("bad number `{s}` for key `{key}`")))?;
+    if !(1..=MAX_GRID_SIDE).contains(&v) {
+        return Err(err(ln, format!("`{key}` must lie in [1, {MAX_GRID_SIDE}], got `{s}`")));
+    }
+    Ok(v)
 }
 
 fn parse_boundary(ln: usize, key: &str, value: &str) -> Result<Boundary, ScenarioError> {
@@ -654,15 +664,15 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
             ("die", "plan") => plan = Some(parse_plan(ln, value)?),
             ("die", "width") => width = Some(parse_positive(ln, key, value)?),
             ("die", "height") => height = Some(parse_positive(ln, key, value)?),
-            ("grid", "rows") => rows = Some(parse_usize(ln, key, value)?),
-            ("grid", "cols") => cols = Some(parse_usize(ln, key, value)?),
+            ("grid", "rows") => rows = Some(parse_grid_side(ln, key, value)?),
+            ("grid", "cols") => cols = Some(parse_grid_side(ln, key, value)?),
             ("stack", "layer") => layers.push(parse_layer(ln, value)?),
             ("stack", "silicon") => silicon = Some(value.to_owned()),
             ("stack", "bottom") => bottom = Some(parse_boundary(ln, key, value)?),
             ("stack", "top") => top = Some(parse_boundary(ln, key, value)?),
-            ("board", "width") => b_width = Some(parse_f64(ln, key, value)?),
-            ("board", "height") => b_height = Some(parse_f64(ln, key, value)?),
-            ("board", "thickness") => b_thickness = Some(parse_f64(ln, key, value)?),
+            ("board", "width") => b_width = Some(parse_positive(ln, key, value)?),
+            ("board", "height") => b_height = Some(parse_positive(ln, key, value)?),
+            ("board", "thickness") => b_thickness = Some(parse_positive(ln, key, value)?),
             ("board", "material") => {
                 b_material = Some(
                     material_by_name(value)
@@ -734,9 +744,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let name = name.ok_or_else(|| err(0, "missing key `name` in [scenario]"))?;
     let rows = rows.ok_or_else(|| err(0, "missing key `rows` in [grid]"))?;
     let cols = cols.ok_or_else(|| err(0, "missing key `cols` in [grid]"))?;
-    if rows == 0 || cols == 0 {
-        return Err(err(0, "grid rows/cols must be positive"));
-    }
     if board_line.is_some() || !places.is_empty() {
         // Board form: the single-die sections must be absent — a file mixing
         // both would be ambiguous about what actually runs.
@@ -1643,6 +1650,12 @@ mod tests {
             ("lumped 1 10", "lumped 0 30", 12, "`top` must be positive"),
             ("lumped 1 10", "oil mineral-oil 0 left-to-right local", 12, "`top` must be positive"),
             ("lumped 1 10", "oil mineral-oil -5 left-to-right local", 12, "`top` must be positive"),
+            // Bounded before anything is allocated: unbounded, a 20000×20000
+            // grid aborted the process.
+            ("rows = 8", "rows = 20000", 8, "`rows` must lie in [1, 512]"),
+            ("cols = 8", "cols = 20000", 9, "`cols` must lie in [1, 512]"),
+            ("rows = 8", "rows = 0", 8, "`rows` must lie in [1, 512]"),
+            ("cols = 8", "cols = 0", 9, "`cols` must lie in [1, 512]"),
         ] {
             let e = parse(&base.replace(from, to)).expect_err(to);
             assert_eq!(e.line, line, "{to}: {e}");
@@ -1651,6 +1664,16 @@ mod tests {
         let duo = SHIPPED.iter().find(|(n, _)| *n == "board-duo").expect("shipped").1;
         for (from, to) in [("width = 0.016", "width = 0"), ("height = 0.016", "height = -0.016")] {
             let line = duo.lines().position(|l| l == from).expect("place dimension") + 1;
+            let e = parse(&duo.replacen(from, to, 1)).expect_err(to);
+            assert_eq!(e.line, line, "{to}: {e}");
+            assert!(e.message.contains("must be positive"), "{to}: {e}");
+        }
+        for (from, to) in [
+            ("width = 0.06", "width = 0"),
+            ("height = 0.04", "height = -0.04"),
+            ("thickness = 0.0016", "thickness = 0"),
+        ] {
+            let line = duo.lines().position(|l| l == from).expect("board dimension") + 1;
             let e = parse(&duo.replacen(from, to, 1)).expect_err(to);
             assert_eq!(e.line, line, "{to}: {e}");
             assert!(e.message.contains("must be positive"), "{to}: {e}");
@@ -1664,6 +1687,8 @@ mod tests {
             let sc = parse(&format!("{base}[solve]\nambient = {ambient}\n")).expect(ambient);
             assert_eq!(sc.ambient_c, want);
         }
+        let side = format!("rows = {MAX_GRID_SIDE}");
+        assert_eq!(parse(&base.replace("rows = 8", &side)).expect("largest").rows, MAX_GRID_SIDE);
     }
 
     #[test]

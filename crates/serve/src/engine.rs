@@ -14,9 +14,7 @@
 use crate::json::{obj, Json};
 use crate::protocol::{FidelityTier, ScenarioSource, SolveRequest};
 use hotiron_bench::common::{self, Fidelity};
-use hotiron_bench::scenario::{
-    self, ErrorKind, PlanKind, PowerSpec, Scenario, Solution, SolverSpec,
-};
+use hotiron_bench::scenario::{self, ErrorKind, PlanKind, PowerSpec, Scenario, Solution};
 use hotiron_thermal::CircuitCache;
 use std::collections::HashMap;
 use std::fmt;
@@ -78,9 +76,6 @@ struct Inflight {
 pub struct Engine {
     cache: CircuitCache,
     inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
-    /// Process-wide solver default (`HOTIRON_SOLVER`); per-request `solver`
-    /// still wins over it.
-    process_solver: Option<SolverSpec>,
 }
 
 impl fmt::Debug for Engine {
@@ -112,22 +107,8 @@ fn coalesce_key(sc: &Scenario, fidelity: Fidelity) -> u64 {
 
 impl Engine {
     /// An engine whose circuit cache holds at most `cache_capacity` circuits.
-    /// The process-wide solver default is read from `HOTIRON_SOLVER`
-    /// (unknown tokens are ignored rather than refusing to start).
     pub fn new(cache_capacity: usize) -> Self {
-        let process_solver =
-            std::env::var("HOTIRON_SOLVER").ok().and_then(|tok| SolverSpec::from_token(tok.trim()));
-        Self::with_process_solver(cache_capacity, process_solver)
-    }
-
-    /// An engine with an explicit process-wide solver default (tests; `new`
-    /// reads it from the environment).
-    pub fn with_process_solver(cache_capacity: usize, process_solver: Option<SolverSpec>) -> Self {
-        Self {
-            cache: CircuitCache::new(cache_capacity),
-            inflight: Mutex::new(HashMap::new()),
-            process_solver,
-        }
+        Self { cache: CircuitCache::new(cache_capacity), inflight: Mutex::new(HashMap::new()) }
     }
 
     /// The engine-owned circuit cache (for `/stats` and tests).
@@ -143,8 +124,8 @@ impl Engine {
     /// Resolves a request to the effective scenario it will run: looks up or
     /// parses the scenario, then applies the power overrides (`power_w`
     /// replaces the source, `power_scale` multiplies whatever is left) and
-    /// the solver override (request `solver` wins over `HOTIRON_SOLVER`,
-    /// which wins over the scenario's own choice). The override lands before
+    /// the solver override (request `solver` wins over the scenario's own
+    /// choice). The override lands before
     /// the coalesce key is computed, so requests for different solvers never
     /// share a solve.
     ///
@@ -194,7 +175,7 @@ impl Engine {
                 sc.power = scale_power_spec(&sc.power, sc.plan, scale);
             }
         }
-        if let Some(spec) = req.solver.or(self.process_solver) {
+        if let Some(spec) = req.solver {
             sc.solver = spec;
         }
         let fidelity = match req.fidelity {
@@ -331,6 +312,7 @@ pub fn solution_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotiron_bench::scenario::SolverSpec;
     use std::sync::Barrier;
     use std::thread;
 
@@ -496,10 +478,10 @@ mod tests {
     }
 
     #[test]
-    fn requested_solver_overrides_the_process_default() {
-        let engine = Engine::with_process_solver(8, Some(SolverSpec::Cg));
+    fn requested_solver_overrides_the_scenario() {
+        let engine = Engine::new(8);
         let (sol, _) = engine.solve(&named("bare-die-forced-air")).unwrap();
-        assert_eq!(sol.solve_stats.method.label(), "cg", "process default applies");
+        assert_eq!(sol.solve_stats.method.label(), "ldlt", "the scenario's `solver = direct`");
         let mut req = named("bare-die-forced-air");
         req.solver = Some(SolverSpec::Spectral);
         let (sol, _) = engine.solve(&req).unwrap();

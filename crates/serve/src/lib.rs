@@ -19,17 +19,17 @@
 //!    cache counters, shed counts and pool occupancy.
 //!
 //! The wire format ([`protocol`]) is 4-byte big-endian length-prefixed JSON
-//! ([`json`] is a dependency-free parser/writer). [`load`] drives the daemon
-//! for the `loadgen` binary and the `serve_throughput` bench.
+//! ([`json`] is a dependency-free parser/writer); [`Client`] speaks it from
+//! the other end.
 
+pub mod client;
 pub mod engine;
 pub mod json;
-pub mod load;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
 
+pub use client::{Client, ClientError};
 pub use engine::{Disposition, Engine, EngineError};
-pub use load::{run_load, Client, LoadConfig, LoadReport};
 pub use protocol::{Request, SolveRequest};
 pub use server::{spawn, ServerConfig, ServerHandle};

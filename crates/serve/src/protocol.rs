@@ -31,8 +31,7 @@
 //! time is shed with a `503` response instead of being served late.
 //!
 //! `solver` (`"auto"`, `"direct"`, `"cg"`, `"multigrid"`, `"spectral"`)
-//! overrides the scenario's solver choice for this request; it also
-//! overrides the process-wide `HOTIRON_SOLVER` default. Requesting
+//! overrides the scenario's solver choice for this request. Requesting
 //! `"spectral"` against a stack that does not qualify answers `422` naming
 //! the disqualifying layer.
 //!
@@ -172,8 +171,7 @@ pub struct SolveRequest {
     pub deadline_ms: Option<u64>,
     /// Include the per-block temperature report (default true).
     pub blocks: bool,
-    /// Per-request solver override; `None` falls back to the process-wide
-    /// `HOTIRON_SOLVER` default and then the scenario's own choice.
+    /// Per-request solver override; `None` keeps the scenario's own choice.
     pub solver: Option<SolverSpec>,
 }
 

@@ -161,6 +161,35 @@ fn concurrent_identical_requests_assemble_one_circuit_across_connections() {
 }
 
 #[test]
+fn oversized_inline_grid_is_422_and_the_daemon_keeps_answering() {
+    let handle = spawn(ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+
+    // Unbounded, this grid's allocation aborted the whole process.
+    let scn = "[scenario]\nname = huge\n[die]\nplan = uniform\nwidth = 0.016\nheight = 0.016\n\
+               [grid]\nrows = 20000\ncols = 20000\n[stack]\nlayer = silicon silicon 5e-4\n\
+               top = lumped 0.8 20\n[power]\nsource = uniform 30\n";
+    let huge = Request::Solve(SolveRequest {
+        scenario: ScenarioSource::Inline(scn.into()),
+        fidelity: FidelityTier::Paper,
+        power_scale: None,
+        power_w: None,
+        deadline_ms: None,
+        blocks: false,
+        solver: None,
+    });
+    let resp = client.request(&huge).expect("answered");
+    assert_eq!(code(&resp), 422, "{}", resp.render());
+    let msg = resp.get("error").and_then(Json::as_str).expect("error message");
+    assert!(msg.contains("line 8") && msg.contains("`rows` must lie in"), "{msg}");
+
+    let resp = client.request(&solve("paper-oil")).expect("answered after the 422");
+    assert_eq!(code(&resp), 200, "{}", resp.render());
+
+    handle.shutdown_and_join();
+}
+
+#[test]
 fn overload_sheds_queue_full_and_deadline_but_always_answers() {
     let handle = spawn(ServerConfig { workers: 1, queue_capacity: 1, ..ServerConfig::default() })
         .expect("bind");

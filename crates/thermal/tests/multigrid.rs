@@ -1,7 +1,7 @@
-//! Multigrid-preconditioned steady solves against the direct solver, plus
-//! the two structural properties the V-cycle must keep for CG to be valid:
-//! the preconditioner is symmetric positive definite, and its strength does
-//! not degrade as the grid refines (flat iteration counts).
+//! Multigrid-preconditioned and plain CG steady solves against the direct
+//! solver, plus the two structural properties the V-cycle must keep for CG
+//! to be valid: the preconditioner is symmetric positive definite, and its
+//! strength does not degrade as the grid refines (flat iteration counts).
 
 use hotiron_floorplan::{library, GridMapping};
 use hotiron_thermal::circuit::{build_circuit, DieGeometry, ThermalCircuit};
@@ -84,6 +84,15 @@ fn mg_matches_direct_within_1e8() {
                 worst <= tol::BACKEND_AGREEMENT_K,
                 "{label} {grid}x{grid}: worst per-node diff {worst:.3e} K"
             );
+
+            // Plain Jacobi-PCG from a cold start converges on the same
+            // operator within its iteration cap.
+            let mut cg = vec![AMBIENT; c.node_count()];
+            let stats = solve_steady_with(&c, &p, AMBIENT, &mut cg, SolverChoice::Cg)
+                .unwrap_or_else(|e| panic!("{label} {grid}: cold CG steady solve: {e}"));
+            assert_eq!(stats.method, SolveMethod::Cg, "{label} {grid}: CG actually ran");
+            let worst = direct.iter().zip(&cg).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+            assert!(worst <= 1e-6, "{label} {grid}x{grid}: CG worst per-node diff {worst:.3e} K");
         }
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full local gate: workspace audit, formatting, lints, docs, a perfbench
-# compile, release build, tests. CI (.github/workflows/ci.yml) runs these
-# same steps, split across jobs.
+# compile, release build, tests, and the benchmark gate (correctness and
+# exact counts). CI (.github/workflows/ci.yml) runs these same steps, split
+# across jobs; it also runs the benchmark A/B against a pull request's base.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,5 +46,9 @@ cargo build --release
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> perf_gate.sh (benchmark correctness and exact counts)"
+bash scripts/perf_gate.sh --self-test
+bash scripts/perf_gate.sh
 
 echo "All checks passed."
