@@ -182,6 +182,18 @@ impl SolverSpec {
         }
     }
 
+    /// The explicit solver this spec names; `None` for [`SolverSpec::Auto`],
+    /// which leaves the pick to [`solve_steady`].
+    pub fn choice(self) -> Option<SolverChoice> {
+        match self {
+            SolverSpec::Auto => None,
+            SolverSpec::Direct => Some(SolverChoice::Direct),
+            SolverSpec::Cg => Some(SolverChoice::Cg),
+            SolverSpec::Multigrid => Some(SolverChoice::Multigrid),
+            SolverSpec::Spectral => Some(SolverChoice::Spectral),
+        }
+    }
+
     /// Parses a scenario-file / serve-protocol solver token.
     pub fn from_token(s: &str) -> Option<Self> {
         Some(match s {
@@ -1493,18 +1505,9 @@ fn dispatch_steady(
     ambient: f64,
     state: &mut [f64],
 ) -> Result<SolveStats, ScenarioError> {
-    let solved = match sc.solver {
-        SolverSpec::Auto => solve_steady(circuit, cell_power, ambient, state),
-        SolverSpec::Direct => {
-            solve_steady_with(circuit, cell_power, ambient, state, SolverChoice::Direct)
-        }
-        SolverSpec::Cg => solve_steady_with(circuit, cell_power, ambient, state, SolverChoice::Cg),
-        SolverSpec::Multigrid => {
-            solve_steady_with(circuit, cell_power, ambient, state, SolverChoice::Multigrid)
-        }
-        SolverSpec::Spectral => {
-            solve_steady_with(circuit, cell_power, ambient, state, SolverChoice::Spectral)
-        }
+    let solved = match sc.solver.choice() {
+        None => solve_steady(circuit, cell_power, ambient, state),
+        Some(choice) => solve_steady_with(circuit, cell_power, ambient, state, choice),
     };
     solved.map_err(|e| match e {
         SolveError::SpectralIneligible { reason } => {
@@ -1809,19 +1812,11 @@ mod tests {
     /// node kinds and layer names.
     fn circuit_digest(c: &hotiron_thermal::circuit::ThermalCircuit) -> u64 {
         use hotiron_thermal::circuit::NodeKind;
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = hotiron_thermal::stack::Fnv::new();
         let g = c.conductance();
-        g.row_offsets().iter().for_each(|v| eat(&v.to_le_bytes()));
-        g.col_indices().iter().for_each(|v| eat(&v.to_le_bytes()));
-        g.values().iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
-        c.capacitance().iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
-        c.ambient_conductance().iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
+        g.row_offsets().iter().chain(g.col_indices()).for_each(|v| h.bytes(&v.to_le_bytes()));
+        let bits = g.values().iter().chain(c.capacitance()).chain(c.ambient_conductance());
+        bits.for_each(|&v| h.f64(v));
         for k in c.node_kinds() {
             let (tag, layer) = match *k {
                 NodeKind::Cell { layer } => (0u8, layer),
@@ -1829,26 +1824,38 @@ mod tests {
                 NodeKind::Coolant => (2, 0),
                 NodeKind::Oil => (3, 0),
             };
-            eat(&[tag]);
-            eat(&(layer as u64).to_le_bytes());
+            h.u8(tag);
+            h.usize(layer);
         }
         for name in c.layer_names() {
-            eat(name.as_bytes());
-            eat(&[0xff]);
+            h.bytes(name.as_bytes());
+            h.u8(0xff);
         }
-        h
+        h.finish()
     }
 
     /// Digests of every shipped single-die scenario's circuit at the 16×16
     /// fast grid and at its own paper grid, recorded from the dedicated
     /// single-stack assembler before single dies became one-placement
-    /// boards. Any drift here changes every single-die result.
-    const SINGLE_DIE_DIGESTS: &[(&str, u64, u64)] = &[
-        ("paper-air", 0xea6b_6486_d579_e654, 0x06ae_8ca6_cbf8_7d6f),
-        ("paper-oil", 0x0482_bd6c_70b0_4164, 0x9ea6_0e53_db01_b40c),
-        ("athlon-hotspot", 0x9f51_593e_0af5_a0bf, 0x684c_c80a_0ee7_5e44),
-        ("bare-die-forced-air", 0x9d93_807f_7f6c_bda3, 0x350a_be4e_0590_4d1d),
-        ("oil-washed-spreader", 0xee00_f8a1_1e68_9772, 0xcd05_8240_a733_22a3),
+    /// boards, then its [`LayerStack::content_hash`] — the `stack_hash` meta
+    /// persisted in `results/stacks.csv`. Any drift here changes every
+    /// single-die result or every persisted hash.
+    const SINGLE_DIE_DIGESTS: &[(&str, u64, u64, u64)] = &[
+        ("paper-air", 0xea6b_6486_d579_e654, 0x06ae_8ca6_cbf8_7d6f, 0x025e_4238_0b8a_90d4),
+        ("paper-oil", 0x0482_bd6c_70b0_4164, 0x9ea6_0e53_db01_b40c, 0x2fcd_b67b_8766_08ff),
+        ("athlon-hotspot", 0x9f51_593e_0af5_a0bf, 0x684c_c80a_0ee7_5e44, 0x2fcd_b67b_8766_08ff),
+        (
+            "bare-die-forced-air",
+            0x9d93_807f_7f6c_bda3,
+            0x350a_be4e_0590_4d1d,
+            0x7148_614d_e589_7d2c,
+        ),
+        (
+            "oil-washed-spreader",
+            0xee00_f8a1_1e68_9772,
+            0xcd05_8240_a733_22a3,
+            0x1bd1_afa8_63b9_ef53,
+        ),
     ];
 
     #[test]
@@ -1872,16 +1879,30 @@ mod tests {
             };
             let fast = digest(sc.rows.min(16), sc.cols.min(16));
             let paper = digest(sc.rows, sc.cols);
-            seen.push((*name, fast, paper));
-            // The scenario pipeline runs on the same cached circuit.
+            seen.push((*name, fast, paper, stack.content_hash()));
+            // The scenario pipeline runs on the same cached circuit and
+            // persists the same stack hash.
             let cache = CircuitCache::new(4);
-            run_in(&sc, Fidelity::Fast, &cache).expect("runs");
+            let sol = run_in(&sc, Fidelity::Fast, &cache).expect("runs");
             let m = GridMapping::new(&plan, sc.rows.min(16), sc.cols.min(16));
             let (c, hit) = cache.get_or_build(&m, die, &stack).expect("assembles");
             assert!(hit, "{name}: the pipeline's circuit shares the stack's cache entry");
             assert_eq!(circuit_digest(&c), fast, "{name}");
+            assert_eq!(meta(&sol, "stack_hash"), format!("{:016x}", stack.content_hash()));
         }
-        assert_eq!(seen, SINGLE_DIE_DIGESTS, "single-die circuits drifted");
+        assert_eq!(seen, SINGLE_DIE_DIGESTS, "single-die circuits or stack hashes drifted");
+    }
+
+    /// A table meta value by key.
+    fn meta<'a>(sol: &'a Solution, key: &str) -> &'a str {
+        let (_, v) = sol.table.meta.iter().find(|(k, _)| k == key).expect("meta present");
+        v
+    }
+
+    /// The paper-grid board hash of a shipped board scenario — the
+    /// `board_hash` meta persisted in `results/board.csv`.
+    fn paper_board_hash(sc: &Scenario) -> u64 {
+        sc.lower(sc.rows, sc.cols).expect("lowers").board.content_hash()
     }
 
     #[test]
@@ -1902,6 +1923,7 @@ mod tests {
         assert_eq!(pcb.celsius.len(), pcb.rows * pcb.cols);
         assert!(sol.blocks.iter().all(|(n, _)| n.starts_with("cpu/") || n.starts_with("dram/")));
         assert!(sol.energy_rel <= ENERGY_REL_TOL);
+        assert_eq!(paper_board_hash(&sc), 0x40fd_6b75_a387_5065, "board-duo hash drifted");
     }
 
     #[test]
@@ -1910,8 +1932,11 @@ mod tests {
         assert_eq!(sc.board.as_ref().unwrap().vias.len(), 1);
         let sol = run(&sc, Fidelity::Fast).expect("runs");
         assert!(sol.silicon_max_c > sc.ambient_c, "die heats above ambient");
-        assert!(sol.table.meta.iter().any(|(k, _)| k == "board_hash"));
+        let fast_hash =
+            sc.lower(sc.rows.min(16), sc.cols.min(16)).expect("lowers").board.content_hash();
+        assert_eq!(meta(&sol, "board_hash"), format!("{fast_hash:016x}"));
         assert_eq!(sol.placements.len(), 1);
+        assert_eq!(paper_board_hash(&sc), 0xa95d_3fb6_3974_ac58, "board-qfn-vias hash drifted");
     }
 
     #[test]

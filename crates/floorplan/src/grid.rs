@@ -8,15 +8,6 @@
 
 use crate::plan::Floorplan;
 
-/// One block's share of one grid cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellCoverage {
-    /// Index of the block in the floorplan.
-    pub block: usize,
-    /// Fraction of the *cell's* area covered by the block, in `(0, 1]`.
-    pub fraction: f64,
-}
-
 /// Precomputed geometric mapping between a [`Floorplan`] and a regular grid.
 ///
 /// Cell `(row, col)` has row 0 at the **bottom** of the die (y = 0) and
@@ -45,8 +36,6 @@ pub struct GridMapping {
     cols: usize,
     cell_width: f64,
     cell_height: f64,
-    /// Per-cell list of covering blocks with cell-area fractions.
-    cell_cover: Vec<Vec<CellCoverage>>,
     /// Per-block list of (cell index, fraction of the *block's* area in that cell).
     block_cells: Vec<Vec<(usize, f64)>>,
     /// Per-cell list of (block index, fraction of the *block's* area in this
@@ -68,7 +57,6 @@ impl GridMapping {
         let cell_width = plan.width() / cols as f64;
         let cell_height = plan.height() / rows as f64;
         let cell_area = cell_width * cell_height;
-        let mut cell_cover = vec![Vec::new(); rows * cols];
         let mut block_cells = vec![Vec::new(); plan.len()];
         let mut cell_gather = vec![Vec::new(); rows * cols];
 
@@ -85,7 +73,6 @@ impl GridMapping {
                     let ov = b.overlap_area(cl, cb, cl + cell_width, cb + cell_height);
                     if ov > 1e-12 * cell_area {
                         let idx = r * cols + c;
-                        cell_cover[idx].push(CellCoverage { block: bi, fraction: ov / cell_area });
                         block_cells[bi].push((idx, ov / barea));
                         cell_gather[idx].push((bi, ov / barea));
                     }
@@ -97,7 +84,6 @@ impl GridMapping {
             cols,
             cell_width,
             cell_height,
-            cell_cover,
             block_cells,
             cell_gather,
             block_count: plan.len(),
@@ -162,11 +148,6 @@ impl GridMapping {
         (r, c)
     }
 
-    /// Blocks covering a cell, with cell-area fractions.
-    pub fn coverage(&self, cell: usize) -> &[CellCoverage] {
-        &self.cell_cover[cell]
-    }
-
     /// Cells covered by a block, with block-area fractions (summing to ~1 if
     /// the block lies entirely on the die).
     pub fn cells_of_block(&self, block: usize) -> &[(usize, f64)] {
@@ -205,6 +186,14 @@ mod tests {
     use super::*;
     use crate::block::Block;
 
+    /// Fraction of each cell's area covered by blocks, from the gather
+    /// lists: block-area fractions scaled back to cell area.
+    fn cell_cover(m: &GridMapping, plan: &Floorplan, cell: usize) -> f64 {
+        let blocks = plan.blocks();
+        m.blocks_of_cell(cell).iter().map(|&(b, f)| f * blocks[b].area()).sum::<f64>()
+            / m.cell_area()
+    }
+
     fn plan() -> Floorplan {
         Floorplan::new(vec![
             Block::new("a", 1.0, 2.0, 0.0, 0.0),
@@ -228,10 +217,17 @@ mod tests {
 
     #[test]
     fn coverage_partitions_cells() {
-        let m = GridMapping::new(&plan(), 4, 4);
+        let p = plan();
+        let m = GridMapping::new(&p, 4, 4);
         for cell in 0..m.cell_count() {
-            let total: f64 = m.coverage(cell).iter().map(|c| c.fraction).sum();
+            let total = cell_cover(&m, &p, cell);
             assert!((total - 1.0).abs() < 1e-9, "cell {cell} covered {total}");
+        }
+        // Spreading each block's own area puts exactly one cell area in
+        // every cell of a full tiling.
+        let areas: Vec<f64> = p.iter().map(Block::area).collect();
+        for (cell, a) in m.spread_block_values(&areas).into_iter().enumerate() {
+            assert!((a / m.cell_area() - 1.0).abs() < 1e-9, "cell {cell}");
         }
     }
 
@@ -256,15 +252,15 @@ mod tests {
     fn misaligned_grid_still_partitions() {
         // 3x3 grid over a 2x2 die: cell boundaries don't align with the
         // block boundary at x=1.
-        let m = GridMapping::new(&plan(), 3, 3);
+        let p = plan();
+        let m = GridMapping::new(&p, 3, 3);
         for cell in 0..m.cell_count() {
-            let total: f64 = m.coverage(cell).iter().map(|c| c.fraction).sum();
-            assert!((total - 1.0).abs() < 1e-9);
+            assert!((cell_cover(&m, &p, cell) - 1.0).abs() < 1e-9);
         }
         let cells = m.spread_block_values(&[1.0, 1.0]);
         assert!((cells.iter().sum::<f64>() - 2.0).abs() < 1e-9);
         // Middle column cells are split between the two blocks.
-        let mid = m.coverage(m.cell_index(1, 1));
+        let mid = m.blocks_of_cell(m.cell_index(1, 1));
         assert_eq!(mid.len(), 2);
     }
 

@@ -34,5 +34,5 @@ pub mod plan;
 
 pub use block::Block;
 pub use error::FloorplanError;
-pub use grid::{CellCoverage, GridMapping};
+pub use grid::GridMapping;
 pub use plan::Floorplan;

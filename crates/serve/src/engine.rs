@@ -15,6 +15,7 @@ use crate::json::{obj, Json};
 use crate::protocol::{FidelityTier, ScenarioSource, SolveRequest};
 use hotiron_bench::common::{self, Fidelity};
 use hotiron_bench::scenario::{self, ErrorKind, PlanKind, PowerSpec, Scenario, Solution};
+use hotiron_thermal::stack::Fnv;
 use hotiron_thermal::CircuitCache;
 use std::collections::HashMap;
 use std::fmt;
@@ -87,22 +88,12 @@ impl fmt::Debug for Engine {
     }
 }
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    // FNV-1a, seeded so successive fields chain into one digest.
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 /// The in-flight key: canonical scenario text plus fidelity.
 fn coalesce_key(sc: &Scenario, fidelity: Fidelity) -> u64 {
-    let h = fnv1a(FNV_OFFSET, sc.to_scn().as_bytes());
-    fnv1a(h, fidelity.pick(b"fast".as_slice(), b"paper".as_slice()))
+    let mut h = Fnv::new();
+    h.bytes(sc.to_scn().as_bytes());
+    h.bytes(fidelity.pick(b"fast".as_slice(), b"paper".as_slice()));
+    h.finish()
 }
 
 impl Engine {

@@ -38,20 +38,20 @@
 //!   capacitance of Eqn 3, again split half/half around the oil node. This
 //!   per-cell structure is what makes the flow direction matter.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::board::{Board, BoardError};
 use crate::cholesky::LdlFactor;
 use crate::convection::LaminarFlow;
 use crate::greens;
-use crate::multigrid::{MgOptions, Multigrid};
+use crate::lru::Lru;
+use crate::multigrid::Multigrid;
 use crate::package::Package;
 use crate::sparse::{CsrMatrix, TripletMatrix};
 use crate::stack::{Boundary, Layer, LayerStack, StackError};
 use hotiron_floorplan::GridMapping;
 
+pub use crate::lru::CacheCounters;
 pub use crate::stack::DieGeometry;
 
 /// Role a node plays in the network (used for introspection and tests).
@@ -195,7 +195,7 @@ impl ThermalCircuit {
 
     /// The geometric multigrid hierarchy for this circuit, built on first
     /// use and cached. Returns `None` when the grid is too small for a
-    /// hierarchy to pay off (see [`MgOptions::coarsest_dim`]) or the network
+    /// hierarchy to pay off (see [`Multigrid::from_circuit`]) or the network
     /// structure defeats coarsening.
     pub fn multigrid(&self) -> Option<&Multigrid> {
         self.multigrid_with_setup().map(|(mg, _)| mg)
@@ -207,7 +207,7 @@ impl ThermalCircuit {
     /// once.
     pub fn multigrid_with_setup(&self) -> Option<(&Multigrid, f64)> {
         let built_now = self.mg.get().is_none();
-        let slot = self.mg.get_or_init(|| Multigrid::from_circuit(self, MgOptions::default()));
+        let slot = self.mg.get_or_init(|| Multigrid::from_circuit(self));
         slot.as_ref().map(|mg| (mg, if built_now { mg.setup_seconds() } else { 0.0 }))
     }
 
@@ -361,33 +361,6 @@ pub fn build_circuit_from_stack(
     Ok(assemble_board(&board, std::slice::from_ref(mapping)))
 }
 
-/// Point-in-time view of a [`CircuitCache`]'s counters and occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheCounters {
-    /// Lookups satisfied from the cache.
-    pub hits: u64,
-    /// Lookups that had to assemble a circuit.
-    pub misses: u64,
-    /// Entries displaced by the capacity bound.
-    pub evictions: u64,
-    /// Circuits currently held.
-    pub len: usize,
-    /// Maximum circuits held at once.
-    pub capacity: usize,
-}
-
-struct LruEntry {
-    circuit: Arc<ThermalCircuit>,
-    /// Monotone access stamp; the entry with the smallest stamp is the
-    /// least recently used and the next to be evicted.
-    last_used: u64,
-}
-
-struct LruState {
-    map: HashMap<u64, LruEntry>,
-    tick: u64,
-}
-
 /// A bounded LRU cache of assembled circuits, keyed by
 /// [`Board::content_hash`] — the grid resolution plus every placement's die
 /// and stack. A bare stack is cached as its [`Board::solo`] board, so a
@@ -405,24 +378,11 @@ struct LruState {
 /// Assembly is deterministic, so a cache hit is observationally identical to
 /// a rebuild; hit/miss/eviction counts are exposed for telemetry
 /// ([`CircuitCache::counters`]).
-pub struct CircuitCache {
-    inner: Mutex<LruState>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+pub struct CircuitCache(Lru<ThermalCircuit>);
 
 impl std::fmt::Debug for CircuitCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let c = self.counters();
-        f.debug_struct("CircuitCache")
-            .field("capacity", &c.capacity)
-            .field("len", &c.len)
-            .field("hits", &c.hits)
-            .field("misses", &c.misses)
-            .field("evictions", &c.evictions)
-            .finish()
+        f.debug_tuple("CircuitCache").field(&self.counters()).finish()
     }
 }
 
@@ -434,13 +394,7 @@ const PROCESS_CACHE_CAPACITY: usize = 64;
 impl CircuitCache {
     /// Creates a cache bounded to `capacity` circuits (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(LruState { map: HashMap::new(), tick: 0 }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        Self(Lru::new(capacity.max(1)))
     }
 
     /// The process-wide default instance backing [`build_circuit_cached`].
@@ -500,72 +454,17 @@ impl CircuitCache {
         board: &Board,
         mappings: &[GridMapping],
     ) -> (Arc<ThermalCircuit>, bool) {
-        let key = board.content_hash();
-        if let Some(hit) = self.touch(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, true);
-        }
-        self.insert_or_adopt(key, Arc::new(assemble_board(board, mappings)))
-    }
-
-    /// Inserts a freshly assembled circuit, or adopts a racing insert of the
-    /// same key. The boolean reports the disposition (`true` = hit).
-    fn insert_or_adopt(&self, key: u64, built: Arc<ThermalCircuit>) -> (Arc<ThermalCircuit>, bool) {
-        let mut state = self.inner.lock().expect("circuit cache poisoned");
-        let stamp = state.tick;
-        if let Some(entry) = state.map.get_mut(&key) {
-            // Lost the assembly race; the earlier insert wins.
-            entry.last_used = stamp;
-            let existing = entry.circuit.clone();
-            state.tick += 1;
-            drop(state);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (existing, true);
-        }
-        if state.map.len() >= self.capacity {
-            let lru = state
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("non-empty map at capacity");
-            state.map.remove(&lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let stamp = state.tick;
-        state.tick += 1;
-        state.map.insert(key, LruEntry { circuit: built.clone(), last_used: stamp });
-        drop(state);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        (built, false)
-    }
-
-    /// Looks up `key`, refreshing its LRU stamp on a hit.
-    fn touch(&self, key: u64) -> Option<Arc<ThermalCircuit>> {
-        let mut state = self.inner.lock().expect("circuit cache poisoned");
-        let tick = state.tick;
-        let entry = state.map.get_mut(&key)?;
-        entry.last_used = tick;
-        let circuit = entry.circuit.clone();
-        state.tick += 1;
-        Some(circuit)
+        self.0.get_or_build(board.content_hash(), || assemble_board(board, mappings))
     }
 
     /// A snapshot of the hit/miss/eviction counters and current occupancy.
     pub fn counters(&self) -> CacheCounters {
-        let len = self.inner.lock().expect("circuit cache poisoned").map.len();
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len,
-            capacity: self.capacity,
-        }
+        self.0.counters()
     }
 
     /// Number of circuits currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("circuit cache poisoned").map.len()
+        self.0.len()
     }
 
     /// Whether the cache currently holds no circuits.
@@ -575,12 +474,12 @@ impl CircuitCache {
 
     /// Maximum number of circuits held at once.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.0.capacity()
     }
 
     /// Drops every cached circuit (counters are preserved).
     pub fn clear(&self) {
-        self.inner.lock().expect("circuit cache poisoned").map.clear();
+        self.0.clear();
     }
 }
 
@@ -1392,68 +1291,6 @@ mod tests {
         assert!(c.conductance().is_symmetric(1e-9));
     }
 
-    /// A family of physically distinct stacks (varying die thickness) for
-    /// exercising the LRU bound with cheap 2×2 assemblies.
-    fn stack_nr(i: usize) -> LayerStack {
-        LayerStack::new(
-            vec![Layer::new("silicon", crate::materials::SILICON, 0.1e-3 * (i + 1) as f64)],
-            0,
-        )
-        .with_top(Boundary::Lumped { r_total: 2.0, c_total: 30.0 })
-    }
-
-    #[test]
-    fn lru_cache_respects_capacity_and_counts_evictions() {
-        let m = mapping(2, 2);
-        let cache = CircuitCache::new(3);
-        for i in 0..5 {
-            let (_, hit) = cache.get_or_build(&m, die20(), &stack_nr(i)).unwrap();
-            assert!(!hit, "stack {i} is new");
-        }
-        let c = cache.counters();
-        assert_eq!(c.len, 3, "capacity bounds occupancy");
-        assert_eq!(c.capacity, 3);
-        assert_eq!(c.misses, 5);
-        assert_eq!(c.evictions, 2, "two inserts displaced the LRU entry");
-        assert_eq!(c.hits, 0);
-    }
-
-    #[test]
-    fn lru_cache_evicts_least_recently_used() {
-        let m = mapping(2, 2);
-        let cache = CircuitCache::new(2);
-        let (a0, _) = cache.get_or_build(&m, die20(), &stack_nr(0)).unwrap();
-        cache.get_or_build(&m, die20(), &stack_nr(1)).unwrap();
-        // Touch 0 so 1 becomes the LRU entry, then insert 2.
-        let (a0_again, hit) = cache.get_or_build(&m, die20(), &stack_nr(0)).unwrap();
-        assert!(hit);
-        assert!(Arc::ptr_eq(&a0, &a0_again));
-        cache.get_or_build(&m, die20(), &stack_nr(2)).unwrap();
-        // 0 survived (recently used), 1 was evicted.
-        let (_, hit0) = cache.get_or_build(&m, die20(), &stack_nr(0)).unwrap();
-        assert!(hit0, "recently used entry survives eviction");
-        let (_, hit1) = cache.get_or_build(&m, die20(), &stack_nr(1)).unwrap();
-        assert!(!hit1, "LRU entry was evicted and must rebuild");
-        let c = cache.counters();
-        assert_eq!(c.hits, 2);
-        assert_eq!(c.evictions, 2);
-    }
-
-    #[test]
-    fn lru_cache_hit_returns_shared_arc_and_clear_preserves_counters() {
-        let m = mapping(4, 4);
-        let cache = CircuitCache::new(4);
-        let (a, first_hit) = cache.get_or_build(&m, die20(), &stack_nr(0)).unwrap();
-        assert!(!first_hit);
-        let (b, hit) = cache.get_or_build(&m, die20(), &stack_nr(0)).unwrap();
-        assert!(hit);
-        assert!(Arc::ptr_eq(&a, &b));
-        cache.clear();
-        assert!(cache.is_empty());
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (1, 1), "clear drops circuits, not telemetry");
-    }
-
     use crate::board::{Board, PcbSpec, Placement, Rotation, ViaField};
 
     fn pcb_spec() -> PcbSpec {
@@ -1603,10 +1440,13 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         // A bare stack is its solo board: one key, one entry.
         let m = mapping(4, 4);
-        let (d, hit_d) = cache.get_or_build(&m, die20(), &stack_nr(0)).unwrap();
+        let bare =
+            LayerStack::new(vec![Layer::new("silicon", crate::materials::SILICON, 0.1e-3)], 0)
+                .with_top(Boundary::Lumped { r_total: 2.0, c_total: 30.0 });
+        let (d, hit_d) = cache.get_or_build(&m, die20(), &bare).unwrap();
         assert!(!hit_d);
         assert!(!Arc::ptr_eq(&a, &d));
-        let solo = Board::solo(4, 4, die20(), stack_nr(0));
+        let solo = Board::solo(4, 4, die20(), bare);
         let (e, hit_e) = cache.get_or_build_board(&solo, std::slice::from_ref(&m)).unwrap();
         assert!(hit_e, "the stack and its solo board share a cache entry");
         assert!(Arc::ptr_eq(&d, &e));

@@ -52,9 +52,10 @@
 
 use crate::circuit::{CacheCounters, NodeKind, ThermalCircuit};
 use crate::fft::{Dct2, Dct2Scratch};
+use crate::lru::Lru;
+use crate::stack::Fnv;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Process-wide response cache capacity (distinct (stack, grid) responses).
@@ -134,23 +135,6 @@ pub struct SpectralParams {
     coolants: Vec<CoolantNode>,
     /// Full state-vector length of the source circuit.
     node_count: usize,
-}
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 { 0xcbf2_9ce4_8422_2325 } else { seed };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn mix_usize(h: u64, v: usize) -> u64 {
-    fnv1a(h, &(v as u64).to_le_bytes())
-}
-
-fn mix_f64(h: u64, v: f64) -> u64 {
-    fnv1a(h, &v.to_bits().to_le_bytes())
 }
 
 /// `|a − b| ≤ tol·max(|a|,|b|)`.
@@ -398,28 +382,29 @@ impl SpectralParams {
 
     /// Content digest: equal digests ⇒ interchangeable responses.
     pub fn digest(&self) -> u64 {
-        let mut h = mix_usize(0, self.rows);
-        h = mix_usize(h, self.cols);
-        h = mix_usize(h, self.nl);
-        h = mix_usize(h, self.si_layer);
+        let mut h = Fnv::new();
+        for v in [self.rows, self.cols, self.nl, self.si_layer] {
+            h.usize(v);
+        }
         for v in self.gx.iter().chain(&self.gy).chain(&self.vert).chain(&self.diag_extra) {
-            h = mix_f64(h, *v);
+            h.f64(*v);
         }
         for o in &self.oil {
-            h = mix_usize(h, o.node);
-            h = mix_usize(h, o.cell);
-            h = mix_f64(h, o.g);
-            h = mix_f64(h, o.g_amb);
+            h.usize(o.node);
+            h.usize(o.cell);
+            h.f64(o.g);
+            h.f64(o.g_amb);
         }
         for c in &self.coolants {
-            h = mix_usize(h, c.node);
-            h = mix_f64(h, c.g_amb);
+            h.usize(c.node);
+            h.f64(c.g_amb);
             for &(l, gv) in &c.couplings {
-                h = mix_usize(h, l);
-                h = mix_f64(h, gv);
+                h.usize(l);
+                h.f64(gv);
             }
         }
-        mix_usize(h, self.node_count)
+        h.usize(self.node_count);
+        h.finish()
     }
 
     /// Grid cells per layer.
@@ -1361,39 +1346,21 @@ impl SpectralTransient {
     }
 }
 
-struct LruEntry {
-    response: Arc<SpectralResponse>,
-    last_used: u64,
-}
-
-struct LruState {
-    map: HashMap<u64, LruEntry>,
-    tick: u64,
-}
-
 /// Bounded LRU of precomputed spectral responses, keyed by
-/// [`SpectralParams::digest`]. Lives beside [`crate::circuit::CircuitCache`]
-/// with the same discipline: builds run outside the lock, a lost race keeps
-/// the first insert, and hit/miss/eviction counters feed the serve stats.
-pub struct ResponseCache {
-    inner: Mutex<LruState>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+/// [`SpectralParams::digest`]. The same cache as
+/// [`crate::circuit::CircuitCache`]: builds run outside the lock, a lost race
+/// keeps the first insert, and hit/miss/eviction counters feed the serve
+/// stats.
+pub struct ResponseCache(Lru<SpectralResponse>);
 
 impl ResponseCache {
     /// An empty cache holding at most `capacity` responses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        Self {
-            inner: Mutex::new(LruState { map: HashMap::new(), tick: 0 }),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        Self(Lru::new(capacity))
     }
 
     /// The process-wide shared cache.
@@ -1405,66 +1372,17 @@ impl ResponseCache {
     /// Returns the cached response for `params`, building and inserting on
     /// a miss. The boolean reports a cache hit.
     pub fn get_or_build(&self, params: SpectralParams) -> (Arc<SpectralResponse>, bool) {
-        let key = params.digest();
-        if let Some(hit) = self.touch(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, true);
-        }
-        let built = Arc::new(SpectralResponse::build(params));
-        let mut state = self.inner.lock().expect("response cache poisoned");
-        let stamp = state.tick;
-        if let Some(entry) = state.map.get_mut(&key) {
-            entry.last_used = stamp;
-            let existing = entry.response.clone();
-            state.tick += 1;
-            drop(state);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (existing, true);
-        }
-        if state.map.len() >= self.capacity {
-            let lru = state
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("non-empty map at capacity");
-            state.map.remove(&lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let stamp = state.tick;
-        state.tick += 1;
-        state.map.insert(key, LruEntry { response: built.clone(), last_used: stamp });
-        drop(state);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        (built, false)
+        self.0.get_or_build(params.digest(), || SpectralResponse::build(params))
     }
 
-    fn touch(&self, key: u64) -> Option<Arc<SpectralResponse>> {
-        let mut state = self.inner.lock().expect("response cache poisoned");
-        let tick = state.tick;
-        let entry = state.map.get_mut(&key)?;
-        entry.last_used = tick;
-        let response = entry.response.clone();
-        state.tick += 1;
-        Some(response)
-    }
-
-    /// Hit/miss/eviction counters and occupancy (shape shared with the
-    /// circuit cache so both render identically in `stats`).
+    /// Hit/miss/eviction counters and occupancy.
     pub fn counters(&self) -> CacheCounters {
-        let len = self.inner.lock().expect("response cache poisoned").map.len();
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len,
-            capacity: self.capacity,
-        }
+        self.0.counters()
     }
 
     /// Drops every cached response (counters keep accumulating).
     pub fn clear(&self) {
-        self.inner.lock().expect("response cache poisoned").map.clear();
+        self.0.clear();
     }
 }
 

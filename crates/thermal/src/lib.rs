@@ -42,6 +42,7 @@ pub mod convection;
 pub mod fft;
 pub mod fluid;
 pub mod greens;
+mod lru;
 pub mod materials;
 pub mod model;
 pub mod multigrid;
@@ -60,7 +61,7 @@ pub use convection::{FlowDirection, LaminarFlow};
 pub use fluid::Fluid;
 pub use materials::Material;
 pub use model::{ModelConfig, Solution, ThermalError, ThermalModel, TransientSim};
-pub use multigrid::{MgOptions, MgStats, Multigrid};
+pub use multigrid::{MgStats, Multigrid};
 pub use package::{AirSinkPackage, OilSiliconPackage, Package, SecondaryPath};
 pub use power::PowerMap;
 pub use solve::SolverChoice;

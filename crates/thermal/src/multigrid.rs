@@ -5,16 +5,16 @@
 //! structure geometric multigrid exploits. This module builds a hierarchy of
 //! 2×2-agglomerated coarse grids (Galerkin coarse operators `Pᵀ·A·P`,
 //! cell-centered bilinear prolongation, full-weighting restriction `R = Pᵀ`)
-//! down to roughly [`MgOptions::coarsest_dim`] per side, smooths each level
-//! with weighted Jacobi, and solves the coarsest level exactly with the
+//! down to at most `COARSEST_DIM` (8) per side, smooths each level with
+//! weighted Jacobi, and solves the coarsest level exactly with the
 //! existing [`LdlFactor`]. A V-cycle of that hierarchy preconditions
 //! conjugate gradient ([`mg_pcg`]), giving iteration counts that are flat in
 //! grid size where plain Jacobi-PCG grows with resolution.
 //!
 //! # Symmetry
 //!
-//! The V-cycle applies the *same number* of Jacobi sweeps before and after
-//! the coarse-grid correction, restricts with the exact transpose of the
+//! The V-cycle applies one Jacobi sweep before and one after the
+//! coarse-grid correction, restricts with the exact transpose of the
 //! prolongation, and solves the coarsest level exactly. Jacobi is a
 //! symmetric smoother (`ω·D⁻¹`), so the composite preconditioner `M⁻¹` is
 //! symmetric positive definite — a requirement for CG (pinned by a property
@@ -515,26 +515,17 @@ fn galerkin(a: &CsrMatrix, p: &Prolong) -> CsrMatrix {
     t.to_csr()
 }
 
-/// Tunables for the hierarchy. The defaults are what every solver-facing
-/// entry point uses; they are exposed for tests and experiments.
-#[derive(Debug, Clone, Copy)]
-pub struct MgOptions {
-    /// Stop coarsening once `min(rows, cols)` is at or below this; the level
-    /// is then solved exactly by LDLᵀ.
-    pub coarsest_dim: usize,
-    /// Jacobi sweeps before *and* after each coarse-grid correction (kept
-    /// equal so the preconditioner stays symmetric).
-    pub sweeps: usize,
-    /// Base Jacobi damping factor; each level additionally rescales by the
-    /// Gershgorin bound on its own operator (see `jacobi_scale`).
-    pub omega: f64,
-}
+/// Stop coarsening once `min(rows, cols)` is at or below this; that level is
+/// then solved exactly by LDLᵀ.
+const COARSEST_DIM: usize = 8;
 
-impl Default for MgOptions {
-    fn default() -> Self {
-        Self { coarsest_dim: 8, sweeps: 1, omega: 0.8 }
-    }
-}
+/// Jacobi sweeps before *and* after each coarse-grid correction (kept equal
+/// so the preconditioner stays symmetric): the V-cycle runs one of each.
+const SWEEPS: usize = 1;
+
+/// Base Jacobi damping factor; each level additionally rescales by the
+/// Gershgorin bound on its own operator (see `jacobi_scale`).
+const OMEGA: f64 = 0.8;
 
 /// Gershgorin bound on the spectral radius of `D⁻¹·A`:
 /// `max_i Σ_j |a_ij| / a_ii`. Weighted Jacobi with `ω < 2/s` is convergent;
@@ -580,7 +571,7 @@ impl LevelOp {
 struct MgLevel {
     op: LevelOp,
     inv_diag: Vec<f64>,
-    /// Effective Jacobi weight for this level: `opts.omega · 2 / max(s, 2)`,
+    /// Effective Jacobi weight for this level: `OMEGA · 2 / max(s, 2)`,
     /// so coarse Galerkin operators that lost diagonal dominance still get a
     /// convergent smoother.
     omega: f64,
@@ -590,11 +581,11 @@ struct MgLevel {
 }
 
 impl MgLevel {
-    fn new(op: LevelOp, a: &CsrMatrix, opts: MgOptions, rows: usize, cols: usize) -> Option<Self> {
+    fn new(op: LevelOp, a: &CsrMatrix, rows: usize, cols: usize) -> Option<Self> {
         let scale = jacobi_scale(a)?;
         let n = op.dim();
         let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / a.diagonal(i)).collect();
-        let omega = opts.omega * 2.0 / scale.max(2.0);
+        let omega = OMEGA * 2.0 / scale.max(2.0);
         Some(Self { op, inv_diag, omega, rows, cols, n })
     }
 }
@@ -644,37 +635,36 @@ pub struct Multigrid {
     /// `prolongs[k]` maps level `k+1` (coarse) to level `k` (fine).
     prolongs: Vec<Prolong>,
     coarse_factor: LdlFactor,
-    opts: MgOptions,
     setup_seconds: f64,
 }
 
 impl Multigrid {
     /// Builds the hierarchy for a circuit's steady conductance operator, or
-    /// `None` when the grid is already at (or below) the coarsest dimension
-    /// — callers fall back to plain CG — or the structure defeats the
-    /// smoother/factorization.
-    pub fn from_circuit(circuit: &ThermalCircuit, opts: MgOptions) -> Option<Self> {
+    /// `None` when the grid is already at or below the coarsest dimension
+    /// (8 cells per side) — callers fall back to plain CG — or the structure
+    /// defeats the smoother/factorization.
+    pub fn from_circuit(circuit: &ThermalCircuit) -> Option<Self> {
         let start = Instant::now();
         let fine = circuit.conductance();
         let (rows, cols) = (circuit.grid_rows(), circuit.grid_cols());
-        if rows.min(cols) <= opts.coarsest_dim {
+        if rows.min(cols) <= COARSEST_DIM {
             return None;
         }
 
         let mut segs = derive_segments(circuit);
         let fine_op = LevelOp::Stencil(StencilOperator::build(fine, &segs, rows, cols));
-        let mut levels = vec![MgLevel::new(fine_op, fine, opts, rows, cols)?];
+        let mut levels = vec![MgLevel::new(fine_op, fine, rows, cols)?];
         let mut prolongs = Vec::new();
 
         // `None` means "the finest operator" (borrowed from the circuit, so
         // the fine CSR is never cloned just to coarsen it).
         let mut current: Option<CsrMatrix> = None;
         let (mut r, mut c) = (rows, cols);
-        while r.min(c) > opts.coarsest_dim {
+        while r.min(c) > COARSEST_DIM {
             let a = current.as_ref().unwrap_or(fine);
             let (p, coarse_segs, (rc, cc)) = build_prolong(&segs, r, c);
             let coarse = galerkin(a, &p);
-            levels.push(MgLevel::new(LevelOp::Csr(coarse.clone()), &coarse, opts, rc, cc)?);
+            levels.push(MgLevel::new(LevelOp::Csr(coarse.clone()), &coarse, rc, cc)?);
             prolongs.push(p);
             segs = coarse_segs;
             current = Some(coarse);
@@ -683,7 +673,7 @@ impl Multigrid {
 
         let coarse_factor = LdlFactor::factor(current.as_ref()?).ok()?;
         let setup_seconds = start.elapsed().as_secs_f64();
-        Some(Self { levels, prolongs, coarse_factor, opts, setup_seconds })
+        Some(Self { levels, prolongs, coarse_factor, setup_seconds })
     }
 
     /// Number of levels, finest included.
@@ -699,11 +689,6 @@ impl Multigrid {
     /// Wall-clock seconds the one-time hierarchy construction took.
     pub fn setup_seconds(&self) -> f64 {
         self.setup_seconds
-    }
-
-    /// The options the hierarchy was built with.
-    pub fn options(&self) -> MgOptions {
-        self.opts
     }
 
     /// Allocates a workspace sized for this hierarchy.
@@ -741,9 +726,6 @@ impl Multigrid {
             let t0 = Instant::now();
             let lvl = &self.levels[k];
             smooth_from_zero(lvl, &ws.r[k], &mut ws.x[k]);
-            for _ in 1..self.opts.sweeps {
-                smooth(lvl, &ws.r[k], &mut ws.x[k], &mut ws.t[k]);
-            }
             residual(lvl, &ws.r[k], &ws.x[k], &mut ws.t[k]);
             self.prolongs[k].restrict(&ws.t[k], &mut ws.r[k + 1]);
             ws.level_seconds[k] += t0.elapsed().as_secs_f64();
@@ -757,10 +739,7 @@ impl Multigrid {
             let t0 = Instant::now();
             let (x_fine, x_coarse) = ws.x.split_at_mut(k + 1);
             self.prolongs[k].interpolate_add(&x_coarse[0], &mut x_fine[k]);
-            let lvl = &self.levels[k];
-            for _ in 0..self.opts.sweeps {
-                smooth(lvl, &ws.r[k], &mut ws.x[k], &mut ws.t[k]);
-            }
+            smooth(&self.levels[k], &ws.r[k], &mut ws.x[k], &mut ws.t[k]);
             ws.level_seconds[k] += t0.elapsed().as_secs_f64();
         }
         ws.cycles += 1;
@@ -770,7 +749,7 @@ impl Multigrid {
     fn stats_from(&self, ws: &MgWorkspace) -> MgStats {
         MgStats {
             cycles: ws.cycles,
-            sweeps: self.opts.sweeps,
+            sweeps: SWEEPS,
             levels: self
                 .levels
                 .iter()
@@ -843,73 +822,20 @@ pub fn mg_pcg(
     let n = mg.levels[0].n;
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
-    let pool = pool::current();
-    let threads = pool.threads();
     let mut ws = mg.workspace();
-    let finish = |iterations, relative_residual, converged, ws: &MgWorkspace| {
-        let mut s =
-            SolveStats::iterative(SolveMethod::MgCg, iterations, relative_residual, converged)
-                .with_threads(threads);
-        s.factor_nnz = mg.coarse_factor.nnz_l();
-        s.multigrid = Some(mg.stats_from(ws));
-        s
-    };
-
-    let b_norm = sparse::norm2(b);
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = 0.0);
-        return finish(0, 0.0, true, &ws);
-    }
-
-    let op = &mg.levels[0].op;
-    let mut r = vec![0.0; n];
-    op.apply(x, &mut r);
-    pool::fill_chunks(&pool, &mut r, |_, start, chunk| {
-        for (k, ri) in chunk.iter_mut().enumerate() {
-            *ri = b[start + k] - *ri;
-        }
-    });
-    let mut res = sparse::norm2(&r) / b_norm;
-    if res <= rel_tol {
-        return finish(0, res, true, &ws);
-    }
-
-    let mut z = vec![0.0; n];
-    mg.precondition(&r, &mut z, &mut ws);
-    let mut p = z.clone();
-    let mut rz = sparse::dot(&r, &z);
-    let mut ap = vec![0.0; n];
-
-    for it in 1..=max_iter {
-        op.apply(&p, &mut ap);
-        let pap = sparse::dot(&p, &ap);
-        if pap <= 0.0 {
-            // Numerical breakdown; report divergence.
-            return finish(it, res, false, &ws);
-        }
-        let alpha = rz / pap;
-        pool::fill_chunks2(&pool, x, &mut r, |_, start, xc, rc| {
-            for (k, (xi, ri)) in xc.iter_mut().zip(rc.iter_mut()).enumerate() {
-                let i = start + k;
-                *xi += alpha * p[i];
-                *ri -= alpha * ap[i];
-            }
-        });
-        res = sparse::norm2(&r) / b_norm;
-        if res <= rel_tol {
-            return finish(it, res, true, &ws);
-        }
-        mg.precondition(&r, &mut z, &mut ws);
-        let rz_new = sparse::dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        pool::fill_chunks(&pool, &mut p, |_, start, chunk| {
-            for (k, pi) in chunk.iter_mut().enumerate() {
-                *pi = z[start + k] + beta * *pi;
-            }
-        });
-    }
-    finish(max_iter, res, false, &ws)
+    let (iterations, residual, converged) = sparse::pcg(
+        |v, out| mg.levels[0].op.apply(v, out),
+        |r, z| mg.precondition(r, z, &mut ws),
+        b,
+        x,
+        rel_tol,
+        max_iter,
+    );
+    let mut s = SolveStats::iterative(SolveMethod::MgCg, iterations, residual, converged)
+        .with_threads(pool::current().threads());
+    s.factor_nnz = mg.coarse_factor.nnz_l();
+    s.multigrid = Some(mg.stats_from(&ws));
+    s
 }
 
 #[cfg(test)]
@@ -1038,7 +964,7 @@ mod tests {
     #[test]
     fn hierarchy_shape() {
         let c = oil(32);
-        let mg = Multigrid::from_circuit(&c, MgOptions::default()).expect("hierarchy builds");
+        let mg = Multigrid::from_circuit(&c).expect("hierarchy builds");
         // 32 -> 16 -> 8.
         assert_eq!(mg.level_count(), 3);
         let nodes = mg.level_nodes();
@@ -1049,14 +975,14 @@ mod tests {
 
     #[test]
     fn too_small_grids_get_no_hierarchy() {
-        assert!(Multigrid::from_circuit(&oil(8), MgOptions::default()).is_none());
+        assert!(Multigrid::from_circuit(&oil(8)).is_none());
     }
 
     #[test]
     fn mg_pcg_solves_to_tolerance() {
         for (label, c) in [("oil", oil(16)), ("air", air(16))] {
-            let mg = Multigrid::from_circuit(&c, MgOptions::default())
-                .unwrap_or_else(|| panic!("{label}: hierarchy builds"));
+            let mg =
+                Multigrid::from_circuit(&c).unwrap_or_else(|| panic!("{label}: hierarchy builds"));
             let mut power = vec![0.0; c.cell_count()];
             power[3] = 5.0;
             let b = c.rhs(&power, 318.15);

@@ -190,11 +190,9 @@ pub fn solve_steady_with(
         return solve_steady_spectral(circuit, si_cell_power, ambient, state);
     }
     let b = circuit.rhs(si_cell_power, ambient);
-    let n = circuit.node_count();
-    let cg_cap = 40 * n + 1000;
-    let (stats, cap) = match solver {
-        SolverChoice::Direct => match circuit.steady_factor_with_setup() {
-            Some((factor, setup_seconds)) => {
+    let fast = match solver {
+        SolverChoice::Direct => {
+            circuit.steady_factor_with_setup().map(|(factor, setup_seconds)| {
                 factor.solve_into(&b, state);
                 let residual = relative_residual(circuit.conductance(), &b, state);
                 let stats = SolveStats {
@@ -213,29 +211,24 @@ pub fn solve_steady_with(
                     multigrid: None,
                 };
                 (stats, usize::MAX)
-            }
-            None => {
-                (conjugate_gradient(circuit.conductance(), &b, state, DEFAULT_TOL, cg_cap), cg_cap)
-            }
-        },
-        SolverChoice::Cg => {
-            (conjugate_gradient(circuit.conductance(), &b, state, DEFAULT_TOL, cg_cap), cg_cap)
+            })
         }
-        SolverChoice::Multigrid => match circuit.multigrid_with_setup() {
-            Some((mg, setup_seconds)) => {
-                let mut stats = mg_pcg(mg, &b, state, DEFAULT_TOL, MG_MAX_ITERS);
-                // Charge the one-time hierarchy construction to the solve
-                // that triggered it, like the direct path does for its
-                // factorization.
-                stats.factor_seconds += setup_seconds;
-                (stats, MG_MAX_ITERS)
-            }
-            None => {
-                (conjugate_gradient(circuit.conductance(), &b, state, DEFAULT_TOL, cg_cap), cg_cap)
-            }
-        },
+        SolverChoice::Multigrid => circuit.multigrid_with_setup().map(|(mg, setup_seconds)| {
+            let mut stats = mg_pcg(mg, &b, state, DEFAULT_TOL, MG_MAX_ITERS);
+            // Charge the one-time hierarchy construction to the solve that
+            // triggered it, like the direct path does for its factorization.
+            stats.factor_seconds += setup_seconds;
+            (stats, MG_MAX_ITERS)
+        }),
+        SolverChoice::Cg => None,
         SolverChoice::Spectral => unreachable!("handled above"),
     };
+    // Plain CG, or the fallback when no factor (non-SPD operator) or no
+    // hierarchy (grid too small) is available.
+    let (stats, cap) = fast.unwrap_or_else(|| {
+        let cg_cap = 40 * circuit.node_count() + 1000;
+        (conjugate_gradient(circuit.conductance(), &b, state, DEFAULT_TOL, cg_cap), cg_cap)
+    });
     finish_iterative(stats, cap)
 }
 

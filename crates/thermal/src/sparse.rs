@@ -364,46 +364,77 @@ pub fn conjugate_gradient(
     let n = a.dim();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
-    let pool = pool::current();
-    let threads = pool.threads();
-    let finish = |iterations, relative_residual, converged| {
-        SolveStats::iterative(SolveMethod::Cg, iterations, relative_residual, converged)
-            .with_threads(threads)
-    };
     let mut inv_diag = vec![0.0; n];
     for (i, slot) in inv_diag.iter_mut().enumerate() {
         let d = a.diagonal(i);
         assert!(d > 0.0, "node {i} has non-positive diagonal {d}: floating node?");
         *slot = 1.0 / d;
     }
+    let pool = pool::current();
+    let jacobi = |r: &[f64], z: &mut [f64]| {
+        pool::fill_chunks(&pool, z, |_, start, chunk| {
+            for (k, zi) in chunk.iter_mut().enumerate() {
+                *zi = r[start + k] * inv_diag[start + k];
+            }
+        });
+    };
+    let (iterations, residual, converged) =
+        pcg(|v, out| a.mul_vec_into(v, out), jacobi, b, x, rel_tol, max_iter);
+    SolveStats::iterative(SolveMethod::Cg, iterations, residual, converged)
+        .with_threads(pool.threads())
+}
+
+/// The preconditioned conjugate-gradient recurrence behind
+/// [`conjugate_gradient`] (Jacobi) and [`crate::multigrid::mg_pcg`]
+/// (one V-cycle): `apply(v, out)` writes `A·v`, `precondition(r, z)` writes
+/// `z ≈ A⁻¹·r`. Starts from `x` (warm start) and leaves the iterate there.
+///
+/// Returns `(iterations, relative residual, converged)`. A zero right-hand
+/// side zeroes `x` and converges at once; a non-positive curvature `pᵀ·A·p`
+/// (numerical breakdown) stops with `converged = false` and the last
+/// residual. The preconditioner first runs only once the warm start misses
+/// the tolerance. Every vector update runs on the [`pool`] with its fixed
+/// chunking, so results are bitwise identical at any thread count.
+pub(crate) fn pcg(
+    apply: impl Fn(&[f64], &mut [f64]),
+    mut precondition: impl FnMut(&[f64], &mut [f64]),
+    b: &[f64],
+    x: &mut [f64],
+    rel_tol: f64,
+    max_iter: usize,
+) -> (usize, f64, bool) {
+    let n = b.len();
+    let pool = pool::current();
     let b_norm = norm2(b);
     if b_norm == 0.0 {
         x.iter_mut().for_each(|v| *v = 0.0);
-        return finish(0, 0.0, true);
+        return (0, 0.0, true);
     }
 
     let mut r = vec![0.0; n];
-    a.mul_vec_into(x, &mut r);
+    apply(x, &mut r);
     pool::fill_chunks(&pool, &mut r, |_, start, chunk| {
         for (k, ri) in chunk.iter_mut().enumerate() {
             *ri = b[start + k] - *ri;
         }
     });
-    let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(&ri, &di)| ri * di).collect();
+    let mut res = norm2(&r) / b_norm;
+    if res <= rel_tol {
+        return (0, res, true);
+    }
+
+    let mut z = vec![0.0; n];
+    precondition(&r, &mut z);
     let mut p = z.clone();
     let mut rz = dot(&r, &z);
     let mut ap = vec![0.0; n];
 
-    let mut res = norm2(&r) / b_norm;
-    if res <= rel_tol {
-        return finish(0, res, true);
-    }
     for it in 1..=max_iter {
-        a.mul_vec_into(&p, &mut ap);
+        apply(&p, &mut ap);
         let pap = dot(&p, &ap);
         if pap <= 0.0 {
             // Numerical breakdown; report divergence.
-            return finish(it, res, false);
+            return (it, res, false);
         }
         let alpha = rz / pap;
         pool::fill_chunks2(&pool, x, &mut r, |_, start, xc, rc| {
@@ -415,13 +446,9 @@ pub fn conjugate_gradient(
         });
         res = norm2(&r) / b_norm;
         if res <= rel_tol {
-            return finish(it, res, true);
+            return (it, res, true);
         }
-        pool::fill_chunks(&pool, &mut z, |_, start, chunk| {
-            for (k, zi) in chunk.iter_mut().enumerate() {
-                *zi = r[start + k] * inv_diag[start + k];
-            }
-        });
+        precondition(&r, &mut z);
         let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
@@ -431,7 +458,7 @@ pub fn conjugate_gradient(
             }
         });
     }
-    finish(max_iter, res, false)
+    (max_iter, res, false)
 }
 
 /// Reverse Cuthill–McKee fill-reducing ordering, with hub rows set aside.

@@ -415,49 +415,74 @@ pub(crate) fn hash_boundary(h: &mut Fnv, b: &Boundary) {
     }
 }
 
-/// Minimal dependency-free FNV-1a 64-bit hasher. Floats hash by their raw
-/// bit pattern, so hashing is exact (no epsilon surprises) and stable
-/// across platforms.
-pub(crate) struct Fnv(u64);
+/// Minimal dependency-free FNV-1a 64-bit hasher: the one behind every
+/// content digest in the workspace (stack, board, spectral response and the
+/// serve coalesce key). Floats hash by their raw bit pattern, so hashing is
+/// exact (no epsilon surprises) and stable across platforms; integers hash
+/// as little-endian `u64` bytes.
+///
+/// ```
+/// use hotiron_thermal::stack::Fnv;
+///
+/// let mut h = Fnv::new();
+/// h.bytes(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fnv(u64);
 
 impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    pub(crate) fn new() -> Self {
+    /// A hasher at the FNV-1a 64-bit offset basis.
+    pub fn new() -> Self {
         Self(Self::OFFSET)
     }
 
-    pub(crate) fn u8(&mut self, b: u8) {
+    /// Mixes one byte.
+    pub fn u8(&mut self, b: u8) {
         self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
     }
 
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+    /// Mixes a byte string, byte by byte.
+    pub fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.u8(b);
         }
     }
 
-    pub(crate) fn str(&mut self, s: &str) {
+    /// Mixes a string's bytes followed by its length.
+    pub fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
         // Length terminator: "ab"+"c" must not collide with "a"+"bc".
         self.usize(s.len());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// Mixes the eight little-endian bytes of `v`.
+    pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn usize(&mut self, v: usize) {
+    /// Mixes `v` as a `u64`.
+    pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    pub(crate) fn f64(&mut self, v: f64) {
+    /// Mixes `v`'s bit pattern as a `u64`.
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    /// The digest of everything mixed so far.
+    pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

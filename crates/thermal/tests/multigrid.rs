@@ -5,7 +5,7 @@
 
 use hotiron_floorplan::{library, GridMapping};
 use hotiron_thermal::circuit::{build_circuit, DieGeometry, ThermalCircuit};
-use hotiron_thermal::multigrid::{mg_pcg, MgOptions, Multigrid};
+use hotiron_thermal::multigrid::{mg_pcg, Multigrid};
 use hotiron_thermal::solve::{solve_steady_with, SolverChoice};
 use hotiron_thermal::sparse::{conjugate_gradient, SolveMethod};
 use hotiron_thermal::{AirSinkPackage, OilSiliconPackage, Package};
@@ -143,8 +143,7 @@ proptest! {
     fn vcycle_preconditioner_is_spd(sx in 0u64..1_000_000, sy in 0u64..1_000_000) {
         for (label, pkg) in packages() {
             let c = circuit(16, &pkg);
-            let mg = Multigrid::from_circuit(&c, MgOptions::default())
-                .expect("16x16 builds a hierarchy");
+            let mg = Multigrid::from_circuit(&c).expect("16x16 builds a hierarchy");
             let n = c.node_count();
             let mut ws = mg.workspace();
 

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # The full local gate: workspace audit, formatting, lints, docs, a perfbench
-# compile, release build, tests, and the benchmark gate (correctness and
-# exact counts). CI (.github/workflows/ci.yml) runs these same steps, split
-# across jobs; it also runs the benchmark A/B against a pull request's base.
+# compile, release build, tests, the scenario smoke, the correctness gate
+# (oracles, quick fuzz, golden snapshots) and the benchmark gate
+# (correctness and exact counts). CI (.github/workflows/ci.yml) runs these
+# same steps, split across jobs; it also runs the tests and the smoke at
+# 1, 2 and all worker threads, regenerates the fast-fidelity CSVs on main,
+# and runs the benchmark A/B against a pull request's base.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +49,25 @@ cargo build --release
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# Every shipped scenario file must parse, assemble, solve and pass the
+# inline energy-balance and maximum-principle checks at both fidelities;
+# figures exits non-zero otherwise.
+echo "==> scenario smoke (fast and paper fidelity)"
+for f in scenarios/*.scn; do
+  cargo run --release -p hotiron-bench --bin figures -- \
+    --fast --out target/scn-smoke --scenario "$f"
+done
+for f in scenarios/*.scn; do
+  cargo run --release -p hotiron-bench --bin figures -- \
+    --out target/scn-smoke-paper --scenario "$f"
+done
+
+# Physics-invariant oracles, the quick differential fuzz and a
+# paper-fidelity regeneration of every experiment diffed against the
+# checked-in results/*.csv goldens.
+echo "==> hotiron-verify all (oracles, quick fuzz, golden snapshots)"
+cargo run --release -p hotiron-verify -- all
 
 echo "==> perf_gate.sh (benchmark correctness and exact counts)"
 bash scripts/perf_gate.sh --self-test

@@ -58,10 +58,11 @@ proptest! {
         let total: f64 = cells.iter().sum();
         let expect: f64 = powers.iter().sum();
         prop_assert!((total - expect).abs() < 1e-9 * expect.max(1.0));
-        // Every cell of a full tiling is covered.
-        for c in 0..mapping.cell_count() {
-            let f: f64 = mapping.coverage(c).iter().map(|cc| cc.fraction).sum();
-            prop_assert!((f - 1.0).abs() < 1e-6);
+        // Every cell of a full tiling is covered: spreading each block's
+        // own area fills every cell with exactly one cell area.
+        let areas: Vec<f64> = plan.iter().map(|b| b.area()).collect();
+        for (c, a) in mapping.spread_block_values(&areas).into_iter().enumerate() {
+            prop_assert!((a / mapping.cell_area() - 1.0).abs() < 1e-6, "cell {c} covered {a}");
         }
     }
 
