@@ -1170,6 +1170,12 @@ fn plan_for(kind: PlanKind, width: Option<f64>, height: Option<f64>) -> Floorpla
 
 /// Relative energy-balance slack for the inline post-solve check.
 const ENERGY_REL_TOL: f64 = 1e-6;
+/// Smallest power (W) the energy balance is taken relative to. With little
+/// or no power in, the heat out is dominated by solver round-off (up to
+/// 1.1e-9 W from the zero-power LDLᵀ solve of paper-air's 64×64 AIR-SINK
+/// stack), and a purely relative test failed every valid zero-power
+/// request. Against one watt the balance allows 1 µW of imbalance.
+const LEDGER_FLOOR_W: f64 = 1.0;
 /// Below-ambient slack (K) for the inline maximum-principle check.
 const BELOW_AMBIENT_TOL: f64 = 1e-6;
 
@@ -1245,16 +1251,17 @@ pub struct Solution {
 }
 
 /// The first inline oracle: every state value is finite and the energy
-/// ledger balances; returns the ledger's relative error. Both tests fail
-/// closed on NaN, which every `>`/`<` comparison would let through. A
-/// failure blames the solver ([`ErrorKind::Solve`]): the scenario already
-/// passed parsing and lowering.
+/// ledger balances; returns the ledger's error relative to the power in, or
+/// to [`LEDGER_FLOOR_W`] when less goes in. Both tests fail closed on NaN,
+/// which every `>`/`<` comparison would let through. A failure blames the
+/// solver ([`ErrorKind::Solve`]): the scenario already passed parsing and
+/// lowering.
 fn check_ledger(state: &[f64], power_in: f64, heat_out: f64) -> Result<f64, ScenarioError> {
     let fault = |message: String| ScenarioError { kind: ErrorKind::Solve, ..err(0, message) };
     if let Some(node) = state.iter().position(|t| !t.is_finite()) {
         return Err(fault(format!("non-finite temperature {} K at node {node}", state[node])));
     }
-    let energy_rel = (power_in - heat_out).abs() / power_in.abs().max(f64::MIN_POSITIVE);
+    let energy_rel = (power_in - heat_out).abs() / power_in.abs().max(LEDGER_FLOOR_W);
     if energy_rel.is_nan() || energy_rel > ENERGY_REL_TOL {
         return Err(fault(format!(
             "energy balance violated: {power_in:.6} W in vs {heat_out:.6} W out (rel {energy_rel:.3e})"
@@ -1588,6 +1595,42 @@ mod tests {
         assert!(e.message.contains("energy balance violated"), "{e}");
         let e = check_ledger(&[320.0], 10.0, 9.0).expect_err("1 W missing");
         assert_eq!(e.kind, ErrorKind::Solve);
+    }
+
+    #[test]
+    fn ledger_floor_admits_zero_power_round_off() {
+        assert_eq!(check_ledger(&[318.15], 0.0, 0.0).expect("nothing in, nothing out"), 0.0);
+        // The round-off heat zero-power LDLᵀ solves leave at 64×64.
+        check_ledger(&[318.15], 0.0, 1.1e-9).expect("round-off is not a violation");
+        // Ten microwatts out of nowhere still are.
+        let e = check_ledger(&[318.15], 0.0, 1e-5).expect_err("heat from nothing");
+        assert!(e.message.contains("energy balance violated"), "{e}");
+    }
+
+    #[test]
+    fn zero_power_answers_ambient_under_every_solver() {
+        use SolverSpec::{Auto, Cg, Direct, Multigrid, Spectral};
+        // bare-die-forced-air's laterally uniform die on power-of-two grids
+        // is the one shipped stack the spectral backend takes.
+        let cases = [
+            (shipped("paper-oil"), &[Auto, Direct, Cg, Multigrid][..]),
+            (shipped("bare-die-forced-air"), &[Direct, Cg, Multigrid, Spectral][..]),
+        ];
+        for fidelity in [Fidelity::Fast, Fidelity::Paper] {
+            for (base, solvers) in &cases {
+                for &solver in *solvers {
+                    let sc = Scenario { power: PowerSpec::Uniform(0.0), solver, ..base.clone() };
+                    let label = format!("{} {} {fidelity:?}", sc.name, solver.token());
+                    let sol = run_in(&sc, fidelity, &CircuitCache::new(1))
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    for t in [sol.silicon_max_c, sol.silicon_mean_c, sol.global_max_c] {
+                        assert!((t - sc.ambient_c).abs() < 1e-6, "{label}: {t} C");
+                    }
+                    assert!(sol.blocks.iter().all(|(_, t)| t.is_finite()), "{label}");
+                    assert!(sol.energy_rel <= ENERGY_REL_TOL, "{label}: {}", sol.energy_rel);
+                }
+            }
+        }
     }
 
     #[test]

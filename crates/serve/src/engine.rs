@@ -532,6 +532,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_power_scale_answers_ambient_at_both_fidelities() {
+        let engine = Engine::new(8);
+        let forced =
+            [SolverSpec::Direct, SolverSpec::Cg, SolverSpec::Multigrid, SolverSpec::Spectral]
+                .map(|spec| SolveRequest { solver: Some(spec), ..named("bare-die-forced-air") });
+        let requests: Vec<SolveRequest> =
+            scenario::SHIPPED.iter().map(|(name, _)| named(name)).chain(forced).collect();
+        for fidelity in [FidelityTier::Fast, FidelityTier::Paper] {
+            for req in &requests {
+                let req = SolveRequest { fidelity, power_scale: Some(0.0), ..req.clone() };
+                let (sol, _) = engine.solve(&req).unwrap_or_else(|e| panic!("{req:?}: {e}"));
+                let (sc, _) = engine.resolve(&req).unwrap();
+                assert_eq!(sol.total_power_w, 0.0, "{req:?}");
+                for t in [sol.silicon_max_c, sol.silicon_mean_c, sol.global_max_c] {
+                    assert!((t - sc.ambient_c).abs() < 1e-6, "{req:?}: {t} C");
+                }
+            }
+        }
+        assert_eq!(engine.inflight_len(), 0);
+    }
+
+    #[test]
     fn different_requests_do_not_coalesce() {
         let engine = Engine::new(8);
         let mut scaled = named("paper-air");

@@ -6,7 +6,8 @@
 //! conjugate gradient every step by a wide margin on the grids this crate
 //! cares about (a 32×32 OIL-SILICON grid is ~2k nodes). The implementation
 //! follows the classic up-looking algorithm of Davis's `ldl.c` (elimination
-//! tree + per-column symbolic pattern walk), adapted to this crate's CSR
+//! tree and column counts in a [`Symbolic`] analysis, then a per-column
+//! pattern walk in the numeric pass), adapted to this crate's CSR
 //! storage: since the assembled matrices are symmetric, CSR row `k` doubles
 //! as CSC column `k`, and a fill-reducing permutation is applied by mapping
 //! indices through [`crate::sparse::reverse_cuthill_mckee`] on the fly. That
@@ -46,6 +47,7 @@
 //! ```
 
 use std::fmt;
+use std::mem::size_of;
 use std::time::Instant;
 
 use crate::sparse::{reverse_cuthill_mckee, CsrMatrix};
@@ -99,6 +101,152 @@ pub struct LdlFactor {
     factor_seconds: f64,
 }
 
+/// The symbolic analysis of an LDLᵀ factorization: everything that depends
+/// on the sparsity pattern of `A` alone — the fill-reducing ordering, the
+/// elimination tree and the column counts of `L` — and so what the numeric
+/// factor will cost before paying for it.
+///
+/// It costs O(nnz(L)) integer work and no floating point, so it can size a
+/// factor whose numeric phase would take minutes; [`solve_steady`] reads
+/// [`bytes`](Self::bytes) to decide whether a direct solve is affordable,
+/// and [`LdlFactor::from_symbolic`] reuses the analysis instead of redoing
+/// it.
+///
+/// [`solve_steady`]: crate::solve::solve_steady
+///
+/// # Examples
+///
+/// ```
+/// use hotiron_thermal::cholesky::{LdlFactor, Symbolic};
+/// use hotiron_thermal::sparse::TripletMatrix;
+///
+/// let mut t = TripletMatrix::new(3);
+/// t.stamp_conductance(0, 1, 2.0);
+/// t.stamp_conductance(1, 2, 0.5);
+/// t.stamp_grounded_conductance(2, 1.0);
+/// let a = t.to_csr();
+/// let sym = Symbolic::new(&a);
+/// let f = LdlFactor::from_symbolic(&a, &sym).unwrap();
+/// assert_eq!(sym.nnz_l(), f.nnz_l());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Symbolic {
+    /// `perm[new] = old` — row/column of `A` placed at position `new`.
+    perm: Vec<usize>,
+    /// Elimination tree: `parent[k]` is the parent of column `k`
+    /// (`usize::MAX` at a root).
+    parent: Vec<usize>,
+    /// Column pointers of the strictly-lower part of `L` (length `n + 1`),
+    /// the prefix sums of the column counts.
+    lp: Vec<usize>,
+    /// Floating-point operations of the numeric phase.
+    flops: f64,
+    /// Wall-clock seconds the ordering and analysis took.
+    seconds: f64,
+}
+
+impl Symbolic {
+    /// Analyzes `a` under the reverse Cuthill–McKee ordering of
+    /// [`reverse_cuthill_mckee`], which places hub rows (rows coupled to a
+    /// whole layer) last.
+    pub fn new(a: &CsrMatrix) -> Self {
+        let start = Instant::now();
+        Self::analyze(a, reverse_cuthill_mckee(a), start)
+    }
+
+    /// Analyzes `a` under a caller-supplied permutation (`perm[new] = old`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not a permutation of `0..a.dim()`.
+    pub fn with_ordering(a: &CsrMatrix, perm: Vec<usize>) -> Self {
+        Self::analyze(a, perm, Instant::now())
+    }
+
+    /// The elimination tree and column counts of `P·A·Pᵀ`, timed from
+    /// `start`.
+    fn analyze(a: &CsrMatrix, perm: Vec<usize>, start: Instant) -> Self {
+        let n = a.dim();
+        let iperm = inverse_permutation(&perm, n);
+        let mut parent = vec![usize::MAX; n];
+        let mut flag = vec![usize::MAX; n];
+        let mut lnz = vec![0usize; n];
+        for k in 0..n {
+            flag[k] = k;
+            for (i, _) in upper_col(a, &perm, &iperm, k) {
+                let mut i = i;
+                while flag[i] != k {
+                    if parent[i] == usize::MAX {
+                        parent[i] = k;
+                    }
+                    lnz[i] += 1;
+                    flag[i] = k;
+                    i = parent[i];
+                }
+            }
+        }
+        let mut lp = vec![0usize; n + 1];
+        for k in 0..n {
+            lp[k + 1] = lp[k] + lnz[k];
+        }
+        // One multiply and one add per update of a stored entry.
+        let flops = lnz.iter().map(|&c| c as f64 * (c as f64 + 1.0)).sum();
+        Self { perm, parent, lp, flops, seconds: start.elapsed().as_secs_f64() }
+    }
+
+    /// Stored non-zeros the factor's `L` will hold, including the implicit
+    /// unit diagonal (what [`LdlFactor::nnz_l`] reports).
+    pub fn nnz_l(&self) -> usize {
+        let n = self.perm.len();
+        self.lp[n] + n
+    }
+
+    /// Floating-point operations of the numeric factorization.
+    pub fn flops(&self) -> f64 {
+        self.flops
+    }
+
+    /// Heap bytes the numeric factor will hold: 12 B per strictly-lower
+    /// entry of `L` (a `u32` row index and an `f64` value) plus its O(n)
+    /// arrays (the permutation, column pointers and diagonal).
+    pub fn bytes(&self) -> usize {
+        let n = self.perm.len();
+        let entry = size_of::<u32>() + size_of::<f64>();
+        let column = 2 * size_of::<usize>() + size_of::<f64>();
+        self.lp[n] * entry + n * column + size_of::<usize>()
+    }
+}
+
+/// `iperm[old] = new` for `perm[new] = old`.
+///
+/// # Panics
+///
+/// Panics if `perm` is not a permutation of `0..n`.
+fn inverse_permutation(perm: &[usize], n: usize) -> Vec<usize> {
+    assert_eq!(perm.len(), n, "permutation length must equal matrix dimension");
+    let mut iperm = vec![usize::MAX; n];
+    for (new, &old) in perm.iter().enumerate() {
+        assert!(old < n && iperm[old] == usize::MAX, "perm is not a permutation");
+        iperm[old] = new;
+    }
+    iperm
+}
+
+/// Column `k` of the permuted upper triangle, read through the CSR rows: `A`
+/// is symmetric, so row `perm[k]` of `A` holds column `k` of `P·A·Pᵀ` once
+/// its indices are mapped through `iperm` and filtered to new-index ≤ `k`.
+fn upper_col<'a>(
+    a: &'a CsrMatrix,
+    perm: &'a [usize],
+    iperm: &'a [usize],
+    k: usize,
+) -> impl Iterator<Item = (usize, f64)> + 'a {
+    a.row(perm[k]).filter_map(move |(old_j, v)| {
+        let i = iperm[old_j];
+        (i <= k).then_some((i, v))
+    })
+}
+
 impl LdlFactor {
     /// Factors `a` using the reverse Cuthill–McKee fill-reducing ordering of
     /// [`reverse_cuthill_mckee`], which places hub rows (rows coupled to a
@@ -115,7 +263,7 @@ impl LdlFactor {
     /// entry has no mirrored lower entry; assembled RC matrices are exactly
     /// symmetric so this indicates a caller bug.
     pub fn factor(a: &CsrMatrix) -> Result<Self, FactorError> {
-        Self::factor_with_ordering(a, reverse_cuthill_mckee(a))
+        Self::from_symbolic(a, &Symbolic::new(a))
     }
 
     /// Factors `a` under a caller-supplied permutation (`perm[new] = old`).
@@ -132,48 +280,26 @@ impl LdlFactor {
     ///
     /// Panics if `perm` is not a permutation of `0..a.dim()`.
     pub fn factor_with_ordering(a: &CsrMatrix, perm: Vec<usize>) -> Result<Self, FactorError> {
+        Self::from_symbolic(a, &Symbolic::with_ordering(a, perm))
+    }
+
+    /// The numeric factorization of `a` under an analysis of its pattern,
+    /// so a caller that already sized the factor does not analyze twice.
+    /// [`factor_seconds`](Self::factor_seconds) includes the analysis time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FactorError::NonPositivePivot`] if `a` is not positive
+    /// definite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `symbolic` was built for a matrix of another dimension.
+    pub fn from_symbolic(a: &CsrMatrix, symbolic: &Symbolic) -> Result<Self, FactorError> {
         let start = Instant::now();
         let n = a.dim();
-        assert_eq!(perm.len(), n, "permutation length must equal matrix dimension");
-        let mut iperm = vec![usize::MAX; n];
-        for (new, &old) in perm.iter().enumerate() {
-            assert!(old < n && iperm[old] == usize::MAX, "perm is not a permutation");
-            iperm[old] = new;
-        }
-
-        // Column k of the permuted upper triangle, read through the CSR rows:
-        // A is symmetric, so row perm[k] of A holds column k of P·A·Pᵀ once
-        // its indices are mapped through iperm and filtered to new-index ≤ k.
-        let (perm_ref, iperm_ref) = (&perm, &iperm);
-        let upper_col = move |k: usize| {
-            a.row(perm_ref[k]).filter_map(move |(old_j, v)| {
-                let i = iperm_ref[old_j];
-                (i <= k).then_some((i, v))
-            })
-        };
-
-        // Symbolic pass: elimination tree + per-column non-zero counts.
-        let mut parent = vec![usize::MAX; n];
-        let mut flag = vec![usize::MAX; n];
-        let mut lnz = vec![0usize; n];
-        for k in 0..n {
-            flag[k] = k;
-            for (i, _) in upper_col(k) {
-                let mut i = i;
-                while flag[i] != k {
-                    if parent[i] == usize::MAX {
-                        parent[i] = k;
-                    }
-                    lnz[i] += 1;
-                    flag[i] = k;
-                    i = parent[i];
-                }
-            }
-        }
-        let mut lp = vec![0usize; n + 1];
-        for k in 0..n {
-            lp[k + 1] = lp[k] + lnz[k];
-        }
+        let Symbolic { perm, parent, lp, .. } = symbolic;
+        let iperm = inverse_permutation(perm, n);
         let total_nnz = lp[n];
 
         // Numeric pass (up-looking): for each column k, scatter column k of A
@@ -185,11 +311,11 @@ impl LdlFactor {
         let mut y = vec![0.0f64; n];
         let mut pattern = vec![0usize; n];
         let mut fill = vec![0usize; n]; // entries emitted so far per column
-        flag.iter_mut().for_each(|f| *f = usize::MAX);
+        let mut flag = vec![usize::MAX; n];
         for k in 0..n {
             let mut top = n;
             flag[k] = k;
-            for (i, v) in upper_col(k) {
+            for (i, v) in upper_col(a, perm, &iperm, k) {
                 y[i] += v;
                 let mut len = 0;
                 let mut i = i;
@@ -227,8 +353,8 @@ impl LdlFactor {
             }
         }
 
-        let factor_seconds = start.elapsed().as_secs_f64();
-        Ok(Self { n, perm, lp, li, lx, d, factor_seconds })
+        let factor_seconds = symbolic.seconds + start.elapsed().as_secs_f64();
+        Ok(Self { n, perm: perm.clone(), lp: lp.clone(), li, lx, d, factor_seconds })
     }
 
     /// Matrix dimension.
@@ -341,8 +467,18 @@ impl LdlFactor {
 }
 
 #[cfg(test)]
+impl LdlFactor {
+    /// The numeric pass's operation count, recounted from the columns of
+    /// `L` it actually stored.
+    pub(crate) fn stored_flops(&self) -> f64 {
+        self.lp.windows(2).map(|w| (w[1] - w[0]) as f64).map(|c| c * (c + 1.0)).sum()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::tests::layered_grid_with_hubs;
     use crate::sparse::{conjugate_gradient, TripletMatrix};
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
@@ -424,6 +560,27 @@ mod tests {
             rcm.nnz_l(),
             natural.nnz_l()
         );
+    }
+
+    #[test]
+    fn symbolic_sizes_the_factor_it_feeds() {
+        for (label, a) in
+            [("1-D Laplacian", laplacian_1d(64)), ("hubs", layered_grid_with_hubs(10, 3).0)]
+        {
+            let sym = Symbolic::new(&a);
+            let f = LdlFactor::from_symbolic(&a, &sym).unwrap();
+            assert_eq!(sym.nnz_l(), f.nnz_l(), "{label}");
+            assert_eq!(sym.flops(), f.stored_flops(), "{label}");
+            assert_eq!(sym.perm, f.perm, "{label}");
+            let heap =
+                f.li.len() * 4 + (f.lx.len() + f.d.len()) * 8 + (f.perm.len() + f.lp.len()) * 8;
+            assert_eq!(sym.bytes(), heap, "{label}");
+            assert_eq!(f.nnz_l(), LdlFactor::factor(&a).unwrap().nnz_l(), "{label}");
+        }
+        // A tridiagonal matrix does not fill: one sub-diagonal entry per
+        // column but the last, one multiply-add pair each.
+        let sym = Symbolic::new(&laplacian_1d(64));
+        assert_eq!((sym.nnz_l(), sym.flops()), (64 + 63, 2.0 * 63.0));
     }
 
     #[test]

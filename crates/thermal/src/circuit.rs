@@ -41,7 +41,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::board::{Board, BoardError};
-use crate::cholesky::LdlFactor;
+use crate::cholesky::{LdlFactor, Symbolic};
 use crate::convection::LaminarFlow;
 use crate::greens;
 use crate::lru::Lru;
@@ -120,6 +120,10 @@ pub struct ThermalCircuit {
     /// building is serial and deterministic, so the cached hierarchy is
     /// identical regardless of which solve triggered it.
     mg: OnceLock<Option<Multigrid>>,
+    /// Lazily built symbolic analysis of `G`: the direct solver's ordering
+    /// and the size of its factor, which [`crate::solve::solve_steady`]
+    /// reads on every auto-selected solve and the factorization reuses.
+    symbolic: OnceLock<Symbolic>,
     /// Lazily built LDLᵀ factorization of `G` for direct steady solves.
     /// `None` inside the cell means factorization hit a non-positive pivot
     /// (operator not SPD). `G` never changes after assembly, so circuits
@@ -211,6 +215,13 @@ impl ThermalCircuit {
         slot.as_ref().map(|mg| (mg, if built_now { mg.setup_seconds() } else { 0.0 }))
     }
 
+    /// The memoized symbolic analysis of `G` (ordering, elimination tree,
+    /// column counts): what a direct steady solve would cost, known before
+    /// it is paid for.
+    pub fn symbolic(&self) -> &Symbolic {
+        self.symbolic.get_or_init(|| Symbolic::new(&self.g))
+    }
+
     /// The memoized LDLᵀ factorization of `G` for direct steady solves,
     /// plus the factorization time in seconds — nonzero only for the call
     /// that actually factored, so callers charge it to their [`SolveStats`]
@@ -222,7 +233,8 @@ impl ThermalCircuit {
     /// [`multigrid_with_setup`]: Self::multigrid_with_setup
     pub fn steady_factor_with_setup(&self) -> Option<(&LdlFactor, f64)> {
         let built_now = self.ldlt.get().is_none();
-        let slot = self.ldlt.get_or_init(|| LdlFactor::factor(&self.g).ok());
+        let slot =
+            self.ldlt.get_or_init(|| LdlFactor::from_symbolic(&self.g, self.symbolic()).ok());
         slot.as_ref().map(|f| (f, if built_now { f.factor_seconds() } else { 0.0 }))
     }
 
@@ -942,7 +954,7 @@ fn assemble_board(board: &Board, mappings: &[GridMapping]) -> ThermalCircuit {
         cap[node] += c;
     }
     let mut ambient_g = vec![0.0; n];
-    let mut t = TripletMatrix::new(n);
+    let mut t = TripletMatrix::with_capacity(n, 4 * stamps.len() + grounded.len());
     for (a, b, g) in stamps {
         t.stamp_conductance(a, b, g);
     }
@@ -965,6 +977,7 @@ fn assemble_board(board: &Board, mappings: &[GridMapping]) -> ThermalCircuit {
         cols,
         board: board_nodes,
         mg: OnceLock::new(),
+        symbolic: OnceLock::new(),
         ldlt: OnceLock::new(),
         spectral: OnceLock::new(),
     }

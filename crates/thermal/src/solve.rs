@@ -21,10 +21,22 @@ use std::fmt;
 /// Default relative tolerance for linear solves.
 pub const DEFAULT_TOL: f64 = 1e-10;
 
-/// Cells per layer from which [`solve_steady`] picks
-/// [`SolverChoice::Multigrid`] over plain CG (64×64; below this the
-/// hierarchy setup is not worth the few hundred CG iterations it saves).
+/// Cells per layer from which [`solve_steady`] leaves plain CG (64×64; below
+/// this a few hundred warm-started CG iterations cost less than building a
+/// factor, a hierarchy or a spectral response). At or above it the auto
+/// rule takes spectral when the stack qualifies, else a direct LDLᵀ solve
+/// when its factor fits [`DIRECT_AUTO_MAX_BYTES`], else multigrid.
 pub const MG_AUTO_MIN_CELLS: usize = 4096;
+
+/// Largest LDLᵀ factor, in heap bytes ([`Symbolic::bytes`]), that
+/// [`solve_steady`] builds on its own (8 MiB). The 64×64 OIL-SILICON die
+/// factors to 2.37 MB and is then answered by two triangular sweeps instead
+/// of ~330 CG iterations; the 64×64 AIR-SINK stack would need ~35 MB and
+/// stays on multigrid. The factor is memoized on the circuit, so the budget
+/// bounds what every cached circuit may hold.
+///
+/// [`Symbolic::bytes`]: crate::cholesky::Symbolic::bytes
+pub const DIRECT_AUTO_MAX_BYTES: usize = 8 << 20;
 
 /// Iteration cap for the MG-preconditioned steady solve. MG convergence is
 /// flat in grid size (~10–20 iterations at [`DEFAULT_TOL`]), so a solve that
@@ -35,16 +47,20 @@ const MG_MAX_ITERS: usize = 200;
 ///
 /// The decision rule (see DESIGN.md): **Direct** when one operator is solved
 /// against many right-hand sides (transient stepping — one factorization
-/// amortized over every step) or when an exact answer without a tolerance
-/// knob is wanted; **Cg** when the operator changes between solves, when a
-/// good warm start is available (steady-state sweeps over slowly-varying
-/// power maps), or as the independent cross-check of the direct path;
-/// **Multigrid** for steady solves on IR-camera-resolution grids
-/// (≥ [`MG_AUTO_MIN_CELLS`] cells, i.e. 64×64 and up), where its
-/// grid-size-independent iteration count beats Jacobi-PCG by growing
-/// margins. The direct path falls back to CG automatically if factorization
-/// hits a non-positive pivot (a non-SPD operator); the multigrid path falls
-/// back to CG when the grid is too small for a hierarchy.
+/// amortized over every step), when an exact answer without a tolerance
+/// knob is wanted, or for steady solves on grids of at least
+/// [`MG_AUTO_MIN_CELLS`] cells whose factor fits [`DIRECT_AUTO_MAX_BYTES`]
+/// (the factor is memoized on the circuit, so every later solve is two
+/// triangular sweeps); **Cg** when the operator changes between solves,
+/// when a good warm start is available (steady-state sweeps over
+/// slowly-varying power maps), on grids below [`MG_AUTO_MIN_CELLS`] cells,
+/// or as the independent cross-check of the direct path; **Multigrid** for
+/// steady solves on grids of at least [`MG_AUTO_MIN_CELLS`] cells whose
+/// factor is over the budget, where its grid-size-independent iteration
+/// count beats Jacobi-PCG by growing margins. The direct path falls back to
+/// CG automatically if factorization hits a non-positive pivot (a non-SPD
+/// operator); the multigrid path falls back to CG when the grid is too
+/// small for a hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
     /// Sparse LDLᵀ factorization ([`LdlFactor`]) under RCM ordering with
@@ -127,14 +143,20 @@ impl fmt::Display for SolveError {
 
 impl Error for SolveError {}
 
-/// Solves the steady-state system `G·T = P + G_amb·T_amb` with a
-/// warm-started iterative solver, auto-selected by problem size: multigrid-
-/// preconditioned CG at or above [`MG_AUTO_MIN_CELLS`] cells per layer
-/// (64×64 and up), plain Jacobi-PCG below. Both benefit from `state` as a
-/// warm start when sweeping similar power maps.
+/// Solves the steady-state system `G·T = P + G_amb·T_amb`, auto-selecting
+/// the solver by problem size:
 ///
-/// `state` is used as the warm start and holds the solution (kelvin) on
-/// success.
+/// * below [`MG_AUTO_MIN_CELLS`] cells per layer, warm-started Jacobi-PCG;
+/// * otherwise the spectral backend when the stack qualifies;
+/// * otherwise a direct LDLᵀ solve when the factor's [`Symbolic::bytes`]
+///   fits [`DIRECT_AUTO_MAX_BYTES`] (the analysis and the factor are
+///   memoized on the circuit);
+/// * otherwise multigrid-preconditioned CG.
+///
+/// [`Symbolic::bytes`]: crate::cholesky::Symbolic::bytes
+///
+/// `state` is used as the warm start of the iterative solvers and holds the
+/// solution (kelvin) on success.
 ///
 /// # Errors
 ///
@@ -147,16 +169,17 @@ pub fn solve_steady(
     ambient: f64,
     state: &mut [f64],
 ) -> Result<SolveStats, SolveError> {
-    let solver = if circuit.cell_count() >= MG_AUTO_MIN_CELLS {
-        // At IR-camera resolution the spectral path beats multigrid by two
-        // orders of magnitude; take it whenever the circuit qualifies.
-        if circuit.spectral().is_ok() {
-            SolverChoice::Spectral
-        } else {
-            SolverChoice::Multigrid
-        }
-    } else {
+    let solver = if circuit.cell_count() < MG_AUTO_MIN_CELLS {
         SolverChoice::Cg
+    } else if circuit.spectral().is_ok() {
+        // At IR-camera resolution the spectral path beats every other
+        // backend by orders of magnitude; take it whenever the circuit
+        // qualifies.
+        SolverChoice::Spectral
+    } else if circuit.symbolic().bytes() <= DIRECT_AUTO_MAX_BYTES {
+        SolverChoice::Direct
+    } else {
+        SolverChoice::Multigrid
     };
     solve_steady_with(circuit, si_cell_power, ambient, state, solver)
 }
@@ -1055,5 +1078,44 @@ mod tests {
         assert!(be.nnz_l() < 200_000, "fig6 AIR backward-Euler nnz(L) = {}", be.nnz_l());
         let steady = LdlFactor::factor(ev6_air_circuit(16).conductance()).unwrap();
         assert!(steady.nnz_l() < 60_000, "paper-air steady nnz(L) = {}", steady.nnz_l());
+    }
+
+    #[test]
+    fn symbolic_counts_the_paper_air_factor() {
+        let c = ev6_air_circuit(16);
+        let f = LdlFactor::factor(c.conductance()).unwrap();
+        let sym = c.symbolic();
+        assert_eq!((sym.nnz_l(), f.nnz_l()), (49_504, 49_504));
+        assert_eq!(sym.flops(), f.stored_flops());
+        let (memo, _) = c.steady_factor_with_setup().unwrap();
+        assert_eq!(memo.nnz_l(), 49_504, "the memoized factor reuses the memoized analysis");
+    }
+
+    /// EV6 under the paper's OIL-SILICON package (paper-oil's operator).
+    fn ev6_oil_circuit(rows: usize) -> ThermalCircuit {
+        let plan = library::ev6();
+        let die = DieGeometry { width: plan.width(), height: plan.height(), thickness: 0.5e-3 };
+        let map = GridMapping::new(&plan, rows, rows);
+        build_circuit(&map, die, &Package::OilSilicon(OilSiliconPackage::paper_default())).unwrap()
+    }
+
+    #[test]
+    fn auto_rule_factors_what_fits_the_budget() {
+        let auto = |c: &ThermalCircuit| {
+            let p = vec![40.0 / c.cell_count() as f64; c.cell_count()];
+            let mut state = vec![AMBIENT; c.node_count()];
+            solve_steady(c, &p, AMBIENT, &mut state).unwrap()
+        };
+        // 64×64 OIL: a 2.37 MB factor, answered directly.
+        let oil = ev6_oil_circuit(64);
+        assert!(oil.symbolic().bytes() <= DIRECT_AUTO_MAX_BYTES);
+        let stats = auto(&oil);
+        assert_eq!((stats.method, stats.factor_nnz), (SolveMethod::Ldlt, 189_024));
+        // 64×64 AIR-SINK: ~35 MB, over the budget, so multigrid.
+        let air = ev6_air_circuit(64);
+        assert!(air.symbolic().bytes() > DIRECT_AUTO_MAX_BYTES, "{}", air.symbolic().bytes());
+        assert_eq!(auto(&air).method, SolveMethod::MgCg);
+        // Below 64×64 the grid stays on CG, however small its factor.
+        assert_eq!(auto(&ev6_oil_circuit(32)).method, SolveMethod::Cg);
     }
 }

@@ -38,8 +38,16 @@ pub struct TripletMatrix {
 impl TripletMatrix {
     /// Creates an empty `n x n` builder.
     pub fn new(n: usize) -> Self {
+        Self::with_capacity(n, 0)
+    }
+
+    /// Creates an empty `n x n` builder with room for `entries` additions
+    /// (each [`stamp_conductance`](Self::stamp_conductance) makes up to four,
+    /// each [`stamp_grounded_conductance`](Self::stamp_grounded_conductance)
+    /// one), so assembly never regrows the list.
+    pub fn with_capacity(n: usize, entries: usize) -> Self {
         assert!(n < u32::MAX as usize, "matrix too large for u32 indices");
-        Self { n, entries: Vec::new() }
+        Self { n, entries: Vec::with_capacity(entries) }
     }
 
     /// Matrix dimension.
@@ -88,28 +96,30 @@ impl TripletMatrix {
         }
     }
 
-    /// Converts to CSR, summing duplicates.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
-        let mut row_counts = vec![0u32; self.n + 1];
-        let mut col_idx = Vec::with_capacity(sorted.len());
-        let mut values: Vec<f64> = Vec::with_capacity(sorted.len());
-        let mut prev: Option<(u32, u32)> = None;
-        for &(r, c, v) in &sorted {
-            if prev == Some((r, c)) {
-                *values.last_mut().expect("entry exists when prev is set") += v;
-            } else {
-                col_idx.push(c);
-                values.push(v);
-                row_counts[r as usize + 1] += 1;
-                prev = Some((r, c));
+    /// Converts to CSR, summing duplicates in sorted order. Consumes the
+    /// builder and sorts and folds its entry list in place, so the
+    /// conversion holds one copy of it and the CSR arrays are allocated at
+    /// their final length.
+    pub fn to_csr(self) -> CsrMatrix {
+        let mut entries = self.entries;
+        entries.sort_unstable_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
+        entries.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
             }
+            same
+        });
+        let mut row_ptr = vec![0u32; self.n + 1];
+        for &(r, _, _) in &entries {
+            row_ptr[r as usize + 1] += 1;
         }
         for i in 0..self.n {
-            row_counts[i + 1] += row_counts[i];
+            row_ptr[i + 1] += row_ptr[i];
         }
-        CsrMatrix { n: self.n, row_ptr: row_counts, col_idx, values }
+        let col_idx = entries.iter().map(|&(_, c, _)| c).collect();
+        let values = entries.iter().map(|&(_, _, v)| v).collect();
+        CsrMatrix { n: self.n, row_ptr, col_idx, values }
     }
 }
 
@@ -549,7 +559,7 @@ pub(crate) fn norm2(a: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
@@ -715,7 +725,7 @@ mod tests {
     /// links between layers), a ring node coupled to the perimeter of the
     /// middle layer, and a convection hub coupled to every top-layer cell.
     /// Returns the matrix and the indices of the ring and the hub.
-    fn layered_grid_with_hubs(g: usize, layers: usize) -> (CsrMatrix, usize, usize) {
+    pub(crate) fn layered_grid_with_hubs(g: usize, layers: usize) -> (CsrMatrix, usize, usize) {
         let cell = |l: usize, r: usize, c: usize| (l * g + r) * g + c;
         let (ring, hub) = (layers * g * g, layers * g * g + 1);
         let mut t = TripletMatrix::new(layers * g * g + 2);

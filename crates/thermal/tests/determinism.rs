@@ -3,8 +3,9 @@
 //! The worker pool's reductions sum fixed-size chunks in ascending chunk
 //! order, so every floating-point result must be *bitwise* identical no
 //! matter how many threads execute the kernels. These tests pin that
-//! guarantee for the two paper packages (OIL-SILICON and AIR-SINK) on both
-//! the steady-state CG solve and a 100-step backward-Euler transient.
+//! guarantee for the two paper packages (OIL-SILICON and AIR-SINK) on the
+//! auto-selected and multigrid steady solves and a 100-step backward-Euler
+//! transient.
 
 use std::sync::Arc;
 
@@ -70,6 +71,11 @@ fn steady_state_bitwise_identical_across_thread_counts() {
 
         let (serial, serial_stats) = run(1);
         assert_eq!(serial_stats.threads, 1, "{label}: serial run reports one thread");
+        // The auto rule factors the 64×64 OIL die (a 2.4 MB LDLᵀ factor,
+        // whose triangular sweeps are serial and report one thread) and
+        // keeps the AIR-SINK stack, ~35 MB factored, on parallel multigrid.
+        let expected_method = if label == "air" { SolveMethod::MgCg } else { SolveMethod::Ldlt };
+        assert_eq!(serial_stats.method, expected_method, "{label}: auto-selected method");
         // Determinism alone can reproduce a wrong answer bit-for-bit; pin
         // that the reproduced solution is also physical.
         oracle::assert_energy_balance(label, model.circuit(), &serial, &p, AMBIENT);
@@ -79,7 +85,8 @@ fn steady_state_bitwise_identical_across_thread_counts() {
                 stats.iterations, serial_stats.iterations,
                 "{label}: iteration count must not depend on thread count"
             );
-            assert_eq!(stats.threads, threads, "{label}: reported thread count");
+            let reported = if stats.method == SolveMethod::Ldlt { 1 } else { threads };
+            assert_eq!(stats.threads, reported, "{label}: reported thread count");
             assert_bitwise_eq(
                 &format!("{label} steady 1 vs {threads} threads"),
                 &serial,
@@ -94,9 +101,10 @@ fn multigrid_steady_bitwise_identical_across_thread_counts() {
     // The explicit multigrid path: stencil SpMV, Jacobi smoothing, residual
     // and grid-transfer kernels all fan out over the pool with fixed-chunk
     // reductions, so the whole V-cycle-preconditioned solve must be bitwise
-    // thread-count invariant. (The auto-selected test above also lands on
-    // multigrid at 64×64; this one pins the method explicitly so the
-    // guarantee survives changes to the auto-selection threshold.)
+    // thread-count invariant. (The auto-selected test above lands on
+    // multigrid only for AIR-SINK at 64×64; this one pins the method
+    // explicitly for both packages so the guarantee survives changes to the
+    // auto-selection rule.)
     let plan = library::ev6();
     for (label, pkg) in packages() {
         let model =

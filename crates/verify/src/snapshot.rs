@@ -11,8 +11,10 @@
 //! Comparison rules:
 //!
 //! * `# key = value` metadata lines are compared loosely: changes are
-//!   reported as notes, never failures (iteration counts and provenance may
-//!   legitimately move under solver work).
+//!   reported as notes naming the changed keys, never failures (iteration
+//!   counts and provenance may legitimately move under solver work). Host
+//!   and timing keys (`threads`, `*.threads`, `*_seconds`) are not compared
+//!   at all: they differ between machines on an unchanged tree.
 //! * Labels, headers and shapes must match exactly.
 //! * Numeric cells must satisfy `|candidate − golden| ≤ abs + rel·|golden|`
 //!   with the per-column tolerances from [`tolerance_for`].
@@ -182,6 +184,29 @@ impl StemReport {
     }
 }
 
+/// Whether a metadata key describes the machine or the run rather than the
+/// result: worker-thread counts and wall times differ between hosts, so
+/// they are left out of the metadata comparison.
+fn is_host_key(key: &str) -> bool {
+    let leaf = key.rsplit('.').next().unwrap_or(key);
+    leaf == "threads" || leaf.ends_with("_seconds")
+}
+
+/// Metadata keys whose value differs between golden and candidate, or that
+/// only one side has, in first-seen order; host keys are skipped.
+fn changed_meta_keys(golden: &[(String, String)], cand: &[(String, String)]) -> Vec<String> {
+    let value = |meta: &[(String, String)], key: &str| {
+        meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+    };
+    let mut changed: Vec<String> = Vec::new();
+    for (key, _) in golden.iter().chain(cand) {
+        if !is_host_key(key) && !changed.contains(key) && value(golden, key) != value(cand, key) {
+            changed.push(key.clone());
+        }
+    }
+    changed
+}
+
 /// Diffs a candidate CSV against its golden text.
 pub fn diff_csv(stem: &str, golden_text: &str, candidate_text: &str) -> StemReport {
     let golden = match parse_csv(golden_text) {
@@ -198,12 +223,9 @@ pub fn diff_csv(stem: &str, golden_text: &str, candidate_text: &str) -> StemRepo
     };
 
     let mut notes = Vec::new();
-    if golden.meta != cand.meta {
-        notes.push(format!(
-            "metadata changed ({} -> {} entries) — informational only",
-            golden.meta.len(),
-            cand.meta.len()
-        ));
+    let changed = changed_meta_keys(&golden.meta, &cand.meta);
+    if !changed.is_empty() {
+        notes.push(format!("metadata changed ({}) — informational only", changed.join(", ")));
     }
     if golden.header != cand.header {
         return StemReport::failed(stem, Verdict::ShapeChanged, "column headers changed".into());
@@ -480,6 +502,28 @@ mod tests {
         let r = diff_csv("demo", TABLE, &cand);
         assert_eq!(r.verdict, Verdict::Match);
         assert!(r.notes.iter().any(|n| n.contains("metadata")));
+    }
+
+    #[test]
+    fn host_metadata_is_not_compared_and_changed_keys_are_named() {
+        let golden = "# threads = 1\n# air.threads = 1\n# air.factor_seconds = 0.25\n\
+                      # air.factor_nnz = 161328\n# oil.solver = ldlt\nunit,a\nx,1\n";
+        let other_host = golden
+            .replace("# threads = 1", "# threads = 2")
+            .replace("air.threads = 1", "air.threads = 2")
+            .replace("0.25", "0.5");
+        let r = diff_csv("demo", golden, &other_host);
+        assert_eq!(r.verdict, Verdict::Match);
+        assert!(r.notes.is_empty(), "host keys are not compared: {:?}", r.notes);
+
+        let drifted = other_host.replace("161328", "980874").replace("# oil.solver = ldlt\n", "");
+        let r = diff_csv("demo", golden, &drifted);
+        assert_eq!(r.verdict, Verdict::Match);
+        assert_eq!(
+            r.notes,
+            ["metadata changed (air.factor_nnz, oil.solver) — informational only"],
+            "only the result keys are named"
+        );
     }
 
     #[test]
