@@ -5,9 +5,9 @@
 //! the DTM controller throttles dynamic power when the sensed temperature
 //! crosses its threshold; throttling feeds back into the next power sample.
 
-use crate::policy::{DtmPolicy, DtmStats, ThresholdDtm};
+use crate::policy::{DtmStats, ThresholdDtm};
 use crate::sensor::SensorArray;
-use hotiron_powersim::{LeakageModel, SyntheticCpu};
+use hotiron_powersim::SyntheticCpu;
 use hotiron_thermal::{PowerMap, ThermalError, ThermalModel};
 
 /// Time series produced by a closed-loop run.
@@ -52,27 +52,29 @@ impl LoopReport {
     }
 }
 
-/// The closed loop simulator, generic over the DTM policy
-/// (defaults to the paper's threshold controller).
+/// The closed loop simulator around the paper's threshold DTM controller.
+///
+/// Leakage feedback follows the CPU: when it carries a
+/// [`LeakageModel`](hotiron_powersim::LeakageModel) (set with
+/// [`SyntheticCpu::with_leakage_model`]), every power sample is computed at
+/// the blocks' current temperatures.
 #[derive(Debug)]
-pub struct ClosedLoop<'m, P: DtmPolicy = ThresholdDtm> {
+pub struct ClosedLoop<'m> {
     model: &'m ThermalModel,
     cpu: SyntheticCpu,
     sensors: SensorArray,
-    dtm: P,
-    leakage: Option<LeakageModel>,
+    dtm: ThresholdDtm,
 }
 
-impl<'m, P: DtmPolicy> ClosedLoop<'m, P> {
+impl<'m> ClosedLoop<'m> {
     /// Builds the loop around a thermal model.
-    pub fn new(model: &'m ThermalModel, cpu: SyntheticCpu, sensors: SensorArray, dtm: P) -> Self {
-        Self { model, cpu, sensors, dtm, leakage: None }
-    }
-
-    /// Enables temperature-dependent leakage feedback.
-    pub fn with_leakage(mut self, model: LeakageModel) -> Self {
-        self.leakage = Some(model);
-        self
+    pub fn new(
+        model: &'m ThermalModel,
+        cpu: SyntheticCpu,
+        sensors: SensorArray,
+        dtm: ThresholdDtm,
+    ) -> Self {
+        Self { model, cpu, sensors, dtm }
     }
 
     /// Runs `n_samples` power samples (one thermal step each) starting from
@@ -103,8 +105,7 @@ impl<'m, P: DtmPolicy> ClosedLoop<'m, P> {
         };
         let mut factor = 1.0;
         let mut sensed = f64::MIN;
-        let leak_temps: Option<Vec<f64>> = self.leakage.map(|_| vec![0.0; plan.len()]);
-        let mut leak_temps = leak_temps;
+        let mut leak_temps = self.cpu.leakage_model().map(|_| vec![0.0; plan.len()]);
 
         for i in 0..n_samples {
             // Power for this sample, with leakage feedback and throttling.
@@ -148,7 +149,7 @@ mod tests {
     use super::*;
     use crate::sensor::SensorArray;
     use hotiron_floorplan::library;
-    use hotiron_powersim::{uarch, workload};
+    use hotiron_powersim::{uarch, workload, LeakageModel};
     use hotiron_thermal::{AirSinkPackage, ModelConfig, OilSiliconPackage, Package, ThermalModel};
 
     fn loop_for(pkg: Package, trigger: f64) -> (ThermalModel, SyntheticCpu) {
@@ -197,14 +198,21 @@ mod tests {
     }
 
     #[test]
-    fn leakage_feedback_runs() {
+    fn leakage_feedback_heats_the_die() {
         let (model, cpu) = loop_for(Package::OilSilicon(OilSiliconPackage::paper_default()), 0.0);
-        let sensors = SensorArray::uniform_grid(4, 0.016, 0.016, 5);
-        let dtm = ThresholdDtm::new(500.0, 490.0, 0.5, 1e-3);
-        let mut cl =
-            ClosedLoop::new(&model, cpu, sensors, dtm).with_leakage(LeakageModel::node_130nm());
-        let r = cl.run(100).unwrap();
-        assert!(r.true_max.iter().all(|t| t.is_finite()));
+        let run = |cpu: SyntheticCpu| {
+            let sensors = SensorArray::uniform_grid(4, 0.016, 0.016, 5);
+            let dtm = ThresholdDtm::new(500.0, 490.0, 0.5, 1e-3);
+            ClosedLoop::new(&model, cpu, sensors, dtm).run(100).unwrap()
+        };
+        let cold = run(cpu.clone());
+        let hot = run(cpu.with_leakage_model(LeakageModel::node_130nm()));
+        assert!(hot.true_max.iter().all(|t| t.is_finite()));
+        // The rig runs far above the leakage reference temperature, so
+        // feedback must raise every sample's true maximum.
+        for (h, c) in hot.true_max.iter().zip(&cold.true_max) {
+            assert!(h > c, "leakage feedback must heat the die: {h} vs {c}");
+        }
     }
 
     #[test]
@@ -216,68 +224,5 @@ mod tests {
         let mut cl = ClosedLoop::new(&model, cpu, sensors, dtm);
         let r = cl.run(400).unwrap();
         assert!(r.max_heating_rate() > 0.0);
-    }
-}
-
-#[cfg(test)]
-mod dvfs_loop_tests {
-    use super::*;
-    use crate::policy::DvfsDtm;
-    use crate::sensor::SensorArray;
-    use hotiron_floorplan::library;
-    use hotiron_powersim::{uarch, workload};
-    use hotiron_thermal::{ModelConfig, OilSiliconPackage, Package, ThermalModel};
-
-    #[test]
-    fn dvfs_policy_plugs_into_the_loop() {
-        let plan = library::ev6();
-        let model = ThermalModel::new(
-            plan.clone(),
-            Package::OilSilicon(OilSiliconPackage::paper_default()),
-            ModelConfig::paper_default().with_grid(8, 8),
-        )
-        .unwrap();
-        let cpu = SyntheticCpu::new(
-            uarch::ev6_units(&plan).expect("ev6 units align to the floorplan"),
-            workload::gcc(),
-            11,
-        );
-        let sensors = SensorArray::uniform_grid(6, 0.016, 0.016, 5);
-        // Trigger below the rig's operating point: the ladder must engage.
-        let dvfs = DvfsDtm::ev6_ladder(60.0, 55.0, 50e-6);
-        let mut cl = ClosedLoop::new(&model, cpu, sensors, dvfs);
-        let r = cl.run(300).unwrap();
-        assert!(r.dtm_stats.engagements >= 1);
-        assert!(r.performance() < 1.0);
-        // DVFS produces intermediate factors, not just on/off.
-        let distinct: std::collections::BTreeSet<u64> =
-            r.throttle.iter().map(|f| (f * 1e6) as u64).collect();
-        assert!(distinct.len() >= 2, "ladder states used: {distinct:?}");
-    }
-
-    #[test]
-    fn dvfs_saturates_at_the_ladder_floor_under_sustained_heat() {
-        // The oil rig runs tens of kelvin over this trigger, so the ladder
-        // must walk all the way down and hold its bottom state.
-        let plan = library::ev6();
-        let model = ThermalModel::new(
-            plan.clone(),
-            Package::OilSilicon(OilSiliconPackage::paper_default()),
-            ModelConfig::paper_default().with_grid(8, 8),
-        )
-        .unwrap();
-        let cpu = SyntheticCpu::new(
-            uarch::ev6_units(&plan).expect("ev6 units align to the floorplan"),
-            workload::gcc(),
-            11,
-        );
-        let sensors = SensorArray::uniform_grid(6, 0.016, 0.016, 5);
-        let dvfs = DvfsDtm::ev6_ladder(60.0, 55.0, 50e-6);
-        let floor = 0.55 * 0.78 * 0.78;
-        let mut cl = ClosedLoop::new(&model, cpu, sensors, dvfs);
-        let r = cl.run(400).unwrap();
-        let min_factor = r.throttle.iter().cloned().fold(f64::MAX, f64::min);
-        assert!((min_factor - floor).abs() < 1e-9, "bottom state reached: {min_factor}");
-        assert!(r.throttled_fraction() > 0.9, "sustained violation keeps it throttled");
     }
 }

@@ -27,6 +27,6 @@ pub mod translate;
 pub use camera::{FrameAccumulator, IrCamera};
 pub use closedloop::{ClosedLoop, LoopReport};
 pub use inversion::PowerInverter;
-pub use policy::{DtmPolicy, DtmState, DtmStats, DvfsDtm, ThresholdDtm};
+pub use policy::{DtmState, DtmStats, ThresholdDtm};
 pub use sensor::{Sensor, SensorArray};
 pub use translate::PackageTranslator;

@@ -203,201 +203,3 @@ mod tests {
         let _ = ThresholdDtm::new(80.0, 85.0, 0.5, 0.0);
     }
 }
-
-/// A dynamic-thermal-management controller: maps sensed temperature to a
-/// dynamic-power factor.
-pub trait DtmPolicy {
-    /// Advances to time `now` (s) with the sensed and true maximum
-    /// temperatures (°C); returns the dynamic-power factor in `(0, 1]`.
-    fn update(&mut self, sensed_max: f64, true_max: f64, now: f64) -> f64;
-
-    /// Cumulative statistics.
-    fn stats(&self) -> DtmStats;
-}
-
-impl DtmPolicy for ThresholdDtm {
-    fn update(&mut self, sensed_max: f64, true_max: f64, now: f64) -> f64 {
-        ThresholdDtm::update(self, sensed_max, true_max, now)
-    }
-
-    fn stats(&self) -> DtmStats {
-        ThresholdDtm::stats(self)
-    }
-}
-
-/// Multi-state DVFS controller: a ladder of (frequency, voltage) states.
-/// Dynamic power scales as `f·V²`; the controller steps down one state when
-/// the sensed temperature exceeds `trigger` and back up when it falls below
-/// `release`, with a minimum dwell time per state (the V/f switching cost).
-///
-/// # Examples
-///
-/// ```
-/// use hotiron_dtm::policy::{DtmPolicy, DvfsDtm};
-///
-/// let mut dvfs = DvfsDtm::ev6_ladder(85.0, 80.0, 50e-6);
-/// assert_eq!(dvfs.update(70.0, 70.0, 0.0), 1.0); // full speed
-/// let f = dvfs.update(90.0, 90.0, 1e-3); // stepped down
-/// assert!(f < 1.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DvfsDtm {
-    /// Dynamic-power factors per state, descending (state 0 = full speed).
-    factors: Vec<f64>,
-    /// Relative performance per state (frequency ratio).
-    speeds: Vec<f64>,
-    state: usize,
-    trigger: f64,
-    release: f64,
-    min_dwell: f64,
-    switched_at: f64,
-    last_time: Option<f64>,
-    stats: DtmStats,
-}
-
-impl DvfsDtm {
-    /// Builds a DVFS ladder from `(frequency_ratio, voltage_ratio)` pairs,
-    /// state 0 first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ladder is empty, ratios are out of `(0, 1]`, or
-    /// `release > trigger`.
-    pub fn new(states: &[(f64, f64)], trigger: f64, release: f64, min_dwell: f64) -> Self {
-        assert!(!states.is_empty(), "need at least one DVFS state");
-        assert!(release <= trigger, "release must not exceed trigger");
-        assert!(min_dwell >= 0.0, "dwell must be non-negative");
-        let mut factors = Vec::new();
-        let mut speeds = Vec::new();
-        for &(f, v) in states {
-            assert!(f > 0.0 && f <= 1.0 && v > 0.0 && v <= 1.0, "ratios must be in (0,1]");
-            factors.push(f * v * v);
-            speeds.push(f);
-        }
-        Self {
-            factors,
-            speeds,
-            state: 0,
-            trigger,
-            release,
-            min_dwell,
-            switched_at: f64::NEG_INFINITY,
-            last_time: None,
-            stats: DtmStats::default(),
-        }
-    }
-
-    /// A 4-state ladder typical of the era: 100/85/70/55 % frequency with
-    /// proportional voltage.
-    pub fn ev6_ladder(trigger: f64, release: f64, min_dwell: f64) -> Self {
-        Self::new(
-            &[(1.0, 1.0), (0.85, 0.92), (0.70, 0.85), (0.55, 0.78)],
-            trigger,
-            release,
-            min_dwell,
-        )
-    }
-
-    /// The current state index (0 = fastest).
-    pub fn state(&self) -> usize {
-        self.state
-    }
-
-    /// Relative performance of the current state.
-    pub fn speed(&self) -> f64 {
-        self.speeds[self.state]
-    }
-}
-
-impl DtmPolicy for DvfsDtm {
-    fn update(&mut self, sensed_max: f64, true_max: f64, now: f64) -> f64 {
-        let dt = self.last_time.map_or(0.0, |t| (now - t).max(0.0));
-        self.last_time = Some(now);
-        self.stats.total_time += dt;
-        if self.state > 0 {
-            self.stats.throttled_time += dt;
-        }
-        if true_max > self.trigger && sensed_max <= self.trigger && self.state == 0 {
-            self.stats.missed_violations += 1;
-        }
-        let dwell_ok = now - self.switched_at >= self.min_dwell;
-        if dwell_ok {
-            if sensed_max > self.trigger && self.state + 1 < self.factors.len() {
-                if self.state == 0 {
-                    self.stats.engagements += 1;
-                }
-                self.state += 1;
-                self.switched_at = now;
-            } else if sensed_max < self.release && self.state > 0 {
-                self.state -= 1;
-                self.switched_at = now;
-            }
-        }
-        self.factors[self.state]
-    }
-
-    fn stats(&self) -> DtmStats {
-        self.stats
-    }
-}
-
-#[cfg(test)]
-mod dvfs_tests {
-    use super::*;
-
-    #[test]
-    fn steps_down_and_up_the_ladder() {
-        let mut d = DvfsDtm::ev6_ladder(85.0, 80.0, 0.0);
-        assert_eq!(d.update(90.0, 90.0, 0.0), 0.85 * 0.92 * 0.92);
-        assert_eq!(d.state(), 1);
-        d.update(90.0, 90.0, 1.0);
-        assert_eq!(d.state(), 2);
-        d.update(90.0, 90.0, 2.0);
-        assert_eq!(d.state(), 3);
-        // Bottom of the ladder: stays.
-        d.update(95.0, 95.0, 3.0);
-        assert_eq!(d.state(), 3);
-        // Cooling steps back up one at a time.
-        d.update(70.0, 70.0, 4.0);
-        assert_eq!(d.state(), 2);
-        d.update(70.0, 70.0, 5.0);
-        d.update(70.0, 70.0, 6.0);
-        assert_eq!(d.state(), 0);
-        assert_eq!(d.stats().engagements, 1);
-    }
-
-    #[test]
-    fn dwell_time_limits_switching() {
-        let mut d = DvfsDtm::ev6_ladder(85.0, 80.0, 1.0);
-        d.update(90.0, 90.0, 0.0);
-        assert_eq!(d.state(), 1);
-        // Too soon to switch again.
-        d.update(90.0, 90.0, 0.5);
-        assert_eq!(d.state(), 1);
-        d.update(90.0, 90.0, 1.5);
-        assert_eq!(d.state(), 2);
-    }
-
-    #[test]
-    fn cubic_power_scaling() {
-        let d = DvfsDtm::new(&[(1.0, 1.0), (0.5, 0.5)], 85.0, 80.0, 0.0);
-        assert!((d.factors[1] - 0.125).abs() < 1e-12, "f·V² = 0.5³");
-    }
-
-    #[test]
-    fn hysteresis_band_is_stable() {
-        let mut d = DvfsDtm::ev6_ladder(85.0, 80.0, 0.0);
-        d.update(90.0, 90.0, 0.0);
-        let s = d.state();
-        // Between release and trigger: no movement either way.
-        d.update(83.0, 83.0, 1.0);
-        d.update(83.0, 83.0, 2.0);
-        assert_eq!(d.state(), s);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one DVFS state")]
-    fn empty_ladder_rejected() {
-        let _ = DvfsDtm::new(&[], 85.0, 80.0, 0.0);
-    }
-}

@@ -1,9 +1,9 @@
-//! Error type for floorplan construction and parsing.
+//! Error type for floorplan construction.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while constructing or parsing a [`Floorplan`](crate::Floorplan).
+/// Errors produced while constructing a [`Floorplan`](crate::Floorplan).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FloorplanError {
@@ -22,13 +22,6 @@ pub enum FloorplanError {
     },
     /// The floorplan has no blocks.
     Empty,
-    /// A `.flp` line could not be parsed.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Explanation of the failure.
-        message: String,
-    },
     /// A named block was not found.
     UnknownBlock(String),
 }
@@ -42,7 +35,6 @@ impl fmt::Display for FloorplanError {
                 write!(f, "blocks `{a}` and `{b}` overlap by {area:.3e} m^2")
             }
             Self::Empty => write!(f, "floorplan has no blocks"),
-            Self::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
             Self::UnknownBlock(name) => write!(f, "unknown block `{name}`"),
         }
     }
@@ -60,8 +52,8 @@ mod tests {
         assert_eq!(e.to_string(), "duplicate block name `L2`");
         let e = FloorplanError::Overlap { a: "a".into(), b: "b".into(), area: 1e-6 };
         assert!(e.to_string().contains("overlap"));
-        let e = FloorplanError::Parse { line: 3, message: "bad float".into() };
-        assert!(e.to_string().contains("line 3"));
+        let e = FloorplanError::UnknownBlock("L3".into());
+        assert_eq!(e.to_string(), "unknown block `L3`");
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod block;
 pub mod error;
 pub mod grid;
 pub mod library;
-pub mod parser;
 pub mod plan;
 
 pub use block::Block;

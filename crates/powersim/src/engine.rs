@@ -48,6 +48,11 @@ impl SyntheticCpu {
         self
     }
 
+    /// The leakage model set by [`SyntheticCpu::with_leakage_model`], if any.
+    pub fn leakage_model(&self) -> Option<LeakageModel> {
+        self.leakage
+    }
+
     /// The unit specs.
     pub fn units(&self) -> &[UnitSpec] {
         &self.units

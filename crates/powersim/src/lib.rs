@@ -32,15 +32,11 @@
 //! ```
 
 pub mod engine;
-pub mod pipeline;
-pub mod program;
 pub mod trace;
 pub mod uarch;
 pub mod workload;
 
 pub use engine::SyntheticCpu;
-pub use pipeline::PipelineCpu;
-pub use program::ProgramProfile;
 pub use trace::PowerTrace;
 pub use uarch::{LeakageModel, UnitClass, UnitSpec};
 pub use workload::{Phase, Workload};

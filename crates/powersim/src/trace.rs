@@ -1,27 +1,5 @@
 //! Power traces: time series of per-block power.
 
-use hotiron_floorplan::Floorplan;
-use std::fmt;
-
-/// A trace constructor referenced a block the floorplan does not have.
-///
-/// Returned instead of panicking so a malformed workload description is a
-/// reportable failure under the experiment fan-out runner rather than a
-/// crashed worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    /// The unknown block name.
-    pub block: String,
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown block `{}`", self.block)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
 /// A time series of per-block power samples.
 ///
 /// Samples are uniformly spaced `dt` seconds apart; each sample holds one
@@ -30,17 +8,14 @@ impl std::error::Error for TraceError {}
 /// # Examples
 ///
 /// ```
-/// use hotiron_floorplan::library;
 /// use hotiron_powersim::PowerTrace;
 ///
-/// let plan = library::ev6();
-/// // The paper's Fig 8 load: 2 W/mm² on the hot block, 15 ms on / 85 ms off.
-/// let t = PowerTrace::square_wave(&plan, "Icache", 16.0, 0.015, 0.085, 1e-3, 0.2)?;
+/// // Two blocks held at 3 W and 1 W for 2 ms, sampled every 10 µs.
+/// let t = PowerTrace::constant(&[3.0, 1.0], 1e-5, 2e-3);
 /// assert_eq!(t.len(), 200);
-/// let avg = t.average();
-/// let icache = plan.block_index("Icache").unwrap();
-/// assert!((avg[icache] - 16.0 * 0.15).abs() < 0.5);
-/// # Ok::<(), hotiron_powersim::trace::TraceError>(())
+/// assert_eq!(t.block_count(), 2);
+/// assert_eq!(t.total(0), 4.0);
+/// assert_eq!(t.average(), vec![3.0, 1.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
@@ -140,112 +115,11 @@ impl PowerTrace {
         }
         t
     }
-
-    /// A square wave on one block: `watts` for `on` seconds, 0 for `off`
-    /// seconds, repeating over `duration` (all other blocks 0 W) — the
-    /// paper's Fig 8 load shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] if the block name is unknown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if timings are not positive.
-    pub fn square_wave(
-        plan: &Floorplan,
-        block: &str,
-        watts: f64,
-        on: f64,
-        off: f64,
-        dt: f64,
-        duration: f64,
-    ) -> Result<Self, TraceError> {
-        assert!(on > 0.0 && off >= 0.0, "on/off durations must be positive");
-        let bi = plan.block_index(block).ok_or_else(|| TraceError { block: block.to_owned() })?;
-        let mut t = Self::new(dt, plan.len());
-        let period = on + off;
-        let n = (duration / dt).round().max(1.0) as usize;
-        let mut sample = vec![0.0; plan.len()];
-        for i in 0..n {
-            let phase = (i as f64 * dt) % period;
-            sample[bi] = if phase < on { watts } else { 0.0 };
-            t.push(&sample);
-        }
-        Ok(t)
-    }
-
-    /// A two-stage handoff: `block_a` dissipates `watts` for `t_switch`
-    /// seconds, then `block_b` does for the remainder — the paper's Fig 9
-    /// IntReg→FPMap experiment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] for the first unknown block name.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive timings.
-    pub fn handoff(
-        plan: &Floorplan,
-        block_a: &str,
-        block_b: &str,
-        watts: f64,
-        t_switch: f64,
-        dt: f64,
-        duration: f64,
-    ) -> Result<Self, TraceError> {
-        assert!(t_switch > 0.0 && duration > t_switch, "switch must fall inside the trace");
-        let a =
-            plan.block_index(block_a).ok_or_else(|| TraceError { block: block_a.to_owned() })?;
-        let b =
-            plan.block_index(block_b).ok_or_else(|| TraceError { block: block_b.to_owned() })?;
-        let mut t = Self::new(dt, plan.len());
-        let n = (duration / dt).round().max(1.0) as usize;
-        for i in 0..n {
-            let mut sample = vec![0.0; plan.len()];
-            if (i as f64) * dt < t_switch {
-                sample[a] = watts;
-            } else {
-                sample[b] = watts;
-            }
-            t.push(&sample);
-        }
-        Ok(t)
-    }
-
-    /// Re-samples to a coarser period by averaging whole groups of
-    /// `factor` samples (an anti-aliased decimation, as an IR camera's
-    /// integration time effectively performs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn decimate(&self, factor: usize) -> Self {
-        assert!(factor > 0, "factor must be positive");
-        let mut out = Self::new(self.dt * factor as f64, self.block_count);
-        let mut i = 0;
-        while i + factor <= self.len() {
-            let mut acc = vec![0.0; self.block_count];
-            for j in i..i + factor {
-                for (a, v) in acc.iter_mut().zip(self.sample(j)) {
-                    *a += v;
-                }
-            }
-            for a in &mut acc {
-                *a /= factor as f64;
-            }
-            out.push(&acc);
-            i += factor;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotiron_floorplan::library;
 
     #[test]
     fn push_and_sample() {
@@ -267,173 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn square_wave_duty_cycle() {
-        let plan = library::ev6();
-        let t = PowerTrace::square_wave(&plan, "IntReg", 10.0, 0.015, 0.085, 1e-3, 1.0).unwrap();
-        let bi = plan.block_index("IntReg").unwrap();
-        let avg = t.average()[bi];
-        assert!((avg - 1.5).abs() < 0.1, "avg {avg}");
-        // Other blocks stay dark.
-        assert_eq!(t.average()[plan.block_index("L2").unwrap()], 0.0);
-    }
-
-    #[test]
-    fn handoff_switches_block() {
-        let plan = library::ev6();
-        let t = PowerTrace::handoff(&plan, "IntReg", "FPMap", 2.0, 0.01, 1e-3, 0.02).unwrap();
-        let a = plan.block_index("IntReg").unwrap();
-        let b = plan.block_index("FPMap").unwrap();
-        assert_eq!(t.sample(0)[a], 2.0);
-        assert_eq!(t.sample(0)[b], 0.0);
-        assert_eq!(t.sample(15)[a], 0.0);
-        assert_eq!(t.sample(15)[b], 2.0);
-    }
-
-    #[test]
-    fn decimate_averages_groups() {
-        let mut t = PowerTrace::new(1.0, 1);
-        for v in [1.0, 3.0, 5.0, 7.0] {
-            t.push(&[v]);
-        }
-        let d = t.decimate(2);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.sample(0), &[2.0]);
-        assert_eq!(d.sample(1), &[6.0]);
-        assert_eq!(d.dt(), 2.0);
-    }
-
-    #[test]
     fn constant_trace() {
         let t = PowerTrace::constant(&[1.0, 2.0], 0.5, 2.0);
         assert_eq!(t.len(), 4);
         assert_eq!(t.sample(3), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn square_wave_unknown_block_is_an_error() {
-        let plan = library::ev6();
-        let err = PowerTrace::square_wave(&plan, "nope", 1.0, 0.1, 0.1, 0.01, 1.0)
-            .expect_err("unknown block must be rejected");
-        assert_eq!(err.block, "nope");
-        assert!(err.to_string().contains("unknown block `nope`"));
-    }
-
-    #[test]
-    fn handoff_unknown_block_is_an_error() {
-        let plan = library::ev6();
-        let err = PowerTrace::handoff(&plan, "IntReg", "ghost", 1.0, 0.01, 1e-3, 0.02)
-            .expect_err("unknown block must be rejected");
-        assert_eq!(err.block, "ghost");
-    }
-}
-
-/// HotSpot `.ptrace` text format support: a header line of block names
-/// followed by one whitespace-separated power sample per line.
-impl PowerTrace {
-    /// Serializes to HotSpot's `.ptrace` text format.
-    pub fn to_ptrace(&self, plan: &Floorplan) -> String {
-        assert_eq!(plan.len(), self.block_count, "floorplan/block-count mismatch");
-        let mut out = String::new();
-        let names: Vec<&str> = plan.names().collect();
-        out.push_str(&names.join("\t"));
-        out.push('\n');
-        for i in 0..self.len() {
-            let row: Vec<String> = self.sample(i).iter().map(|v| format!("{v:.6}")).collect();
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses HotSpot `.ptrace` text; columns are matched to the floorplan's
-    /// blocks by name (any column order).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first unknown block, malformed value or
-    /// short row.
-    pub fn from_ptrace(plan: &Floorplan, text: &str, dt: f64) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty ptrace")?;
-        let names: Vec<&str> = header.split_whitespace().collect();
-        let cols: Vec<usize> = names
-            .iter()
-            .map(|name| plan.block_index(name).ok_or_else(|| format!("unknown block `{name}`")))
-            .collect::<Result<_, _>>()?;
-        if cols.len() != plan.len() {
-            return Err(format!(
-                "ptrace has {} columns, floorplan has {} blocks",
-                cols.len(),
-                plan.len()
-            ));
-        }
-        let mut trace = PowerTrace::new(dt, plan.len());
-        for (ln, line) in lines.enumerate() {
-            let vals: Vec<f64> = line
-                .split_whitespace()
-                .enumerate()
-                .map(|(col, v)| {
-                    v.parse().map_err(|_| {
-                        let block = names.get(col).copied().unwrap_or("<extra column>");
-                        format!("bad value `{v}` for block `{block}` at line {}", ln + 2)
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            if vals.len() != cols.len() {
-                return Err(format!(
-                    "short row at line {}: {} values for {} blocks",
-                    ln + 2,
-                    vals.len(),
-                    cols.len()
-                ));
-            }
-            let mut sample = vec![0.0; plan.len()];
-            for (v, &bi) in vals.iter().zip(&cols) {
-                sample[bi] = *v;
-            }
-            trace.push(&sample);
-        }
-        Ok(trace)
-    }
-}
-
-#[cfg(test)]
-mod ptrace_tests {
-    use super::*;
-    use hotiron_floorplan::library;
-
-    #[test]
-    fn ptrace_round_trips() {
-        let plan = library::ev6();
-        let t = PowerTrace::square_wave(&plan, "IntReg", 2.0, 0.01, 0.01, 1e-3, 0.05).unwrap();
-        let text = t.to_ptrace(&plan);
-        let back = PowerTrace::from_ptrace(&plan, &text, 1e-3).unwrap();
-        assert_eq!(back.len(), t.len());
-        for i in 0..t.len() {
-            for (a, b) in t.sample(i).iter().zip(back.sample(i)) {
-                assert!((a - b).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn ptrace_header_order_is_flexible() {
-        let plan = library::uniform_die(0.01, 0.01);
-        let text = "die\n1.5\n2.5\n";
-        let t = PowerTrace::from_ptrace(&plan, text, 1e-3).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.sample(1)[0], 2.5);
-    }
-
-    #[test]
-    fn ptrace_rejects_unknown_blocks_and_bad_rows() {
-        let plan = library::uniform_die(0.01, 0.01);
-        assert!(PowerTrace::from_ptrace(&plan, "nope\n1.0\n", 1e-3)
-            .unwrap_err()
-            .contains("unknown block"));
-        assert!(PowerTrace::from_ptrace(&plan, "die\nx\n", 1e-3)
-            .unwrap_err()
-            .contains("bad value"));
-        assert!(PowerTrace::from_ptrace(&plan, "", 1e-3).is_err());
     }
 }

@@ -1,69 +1,10 @@
-//! Error paths of the trace and microarchitecture layers: every rejected
-//! input must produce a `TraceError`/`UarchError` (or parse message) that
-//! names the offending block, so a broken workload description is
-//! diagnosable from the experiment runner's failure line alone.
+//! Error paths of the microarchitecture layer: every rejected input must
+//! produce a `UarchError` that names the offending unit, so a broken
+//! workload description is diagnosable from the experiment runner's failure
+//! line alone.
 
 use hotiron_floorplan::library;
-use hotiron_powersim::trace::TraceError;
 use hotiron_powersim::uarch::{athlon64_units, ev6_units, UarchError, UnitClass, UnitSpec};
-use hotiron_powersim::PowerTrace;
-
-#[test]
-fn trace_constructors_name_the_unknown_block() {
-    let plan = library::ev6();
-
-    let err = PowerTrace::square_wave(&plan, "NotABlock", 2.0, 0.01, 0.01, 1e-3, 0.05)
-        .expect_err("unknown block must be rejected");
-    assert_eq!(err, TraceError { block: "NotABlock".to_owned() });
-    assert_eq!(err.to_string(), "unknown block `NotABlock`");
-
-    // Handoff reports the *first* unknown name, even in second position.
-    let err = PowerTrace::handoff(&plan, "IntReg", "FPMangle", 2.0, 0.01, 1e-3, 0.05)
-        .expect_err("unknown handoff target must be rejected");
-    assert_eq!(err.block, "FPMangle");
-}
-
-#[test]
-fn ptrace_parse_errors_name_block_and_line() {
-    let plan = library::ev6();
-    let valid = PowerTrace::square_wave(&plan, "IntReg", 2.0, 0.01, 0.01, 1e-3, 0.01)
-        .expect("valid trace")
-        .to_ptrace(&plan);
-
-    // Unknown column header.
-    let bad_header = valid.replacen("IntReg", "IntRogue", 1);
-    let err = PowerTrace::from_ptrace(&plan, &bad_header, 1e-3).expect_err("bad header");
-    assert!(err.contains("unknown block `IntRogue`"), "{err}");
-
-    // Malformed value: the message must name the column's block and line.
-    let mut lines: Vec<&str> = valid.lines().collect();
-    let intreg_col = lines[0].split_whitespace().position(|n| n == "IntReg").expect("column");
-    let row2: Vec<&str> = lines[2].split_whitespace().collect();
-    let corrupted: String = row2
-        .iter()
-        .enumerate()
-        .map(|(i, v)| if i == intreg_col { "2.0.0" } else { *v })
-        .collect::<Vec<_>>()
-        .join("\t");
-    lines[2] = &corrupted;
-    let err = PowerTrace::from_ptrace(&plan, &lines.join("\n"), 1e-3).expect_err("malformed value");
-    assert!(
-        err.contains("bad value `2.0.0`")
-            && err.contains("block `IntReg`")
-            && err.contains("line 3"),
-        "message must name value, block and line: {err}"
-    );
-
-    // Short row: names the line and the expected width.
-    let short = format!("{}\n{}\n1.0 2.0\n", lines[0], lines[1]);
-    let err = PowerTrace::from_ptrace(&plan, &short, 1e-3).expect_err("short row");
-    assert!(err.contains("short row at line 3"), "{err}");
-    assert!(err.contains(&format!("{} blocks", plan.len())), "{err}");
-
-    // Column-count mismatch against the floorplan.
-    let err = PowerTrace::from_ptrace(&plan, "IntReg\n1.0\n", 1e-3).expect_err("missing columns");
-    assert!(err.contains(&format!("floorplan has {} blocks", plan.len())), "{err}");
-}
 
 #[test]
 fn uarch_errors_name_the_offending_unit() {

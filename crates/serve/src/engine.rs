@@ -17,9 +17,11 @@ use hotiron_bench::common::{self, Fidelity};
 use hotiron_bench::scenario::{self, ErrorKind, PlanKind, PowerSpec, Scenario, Solution};
 use hotiron_thermal::stack::Fnv;
 use hotiron_thermal::CircuitCache;
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A solve failure with its response code: `404` unknown scenario, `422`
 /// unusable scenario content, `500` solver failure.
@@ -209,22 +211,66 @@ impl Engine {
                 .map(|solution| (solution, Disposition::Coalesced));
         }
 
-        let outcome = scenario::run_in(&sc, fidelity, &self.cache).map(Arc::new).map_err(|e| {
-            let code = if e.kind == ErrorKind::Solve { 500 } else { 422 };
-            EngineError { code, message: e.to_string() }
-        });
-        // Unpublish before waking followers: a request arriving after the
-        // removal starts a fresh solve instead of joining a finished one.
-        self.inflight.lock().expect("inflight table poisoned").remove(&key);
-        let mut slot = entry.result.lock().expect("inflight slot poisoned");
-        *slot = Some(outcome.clone());
-        entry.cv.notify_all();
-        drop(slot);
+        let mut publish = Publish { engine: self, key, entry, outcome: None };
+        // A panic inside the pipeline (e.g. an assembly assert on an
+        // inf conductance) answers this request with a 500 instead of
+        // killing the worker; the circuit LRU builds outside its lock, so
+        // the unwind leaves no poisoned state behind.
+        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
+            scenario::run_in(&sc, fidelity, &self.cache)
+        })) {
+            Ok(Ok(solution)) => Ok(Arc::new(solution)),
+            Ok(Err(e)) => {
+                let code = if e.kind == ErrorKind::Solve { 500 } else { 422 };
+                Err(EngineError { code, message: e.to_string() })
+            }
+            Err(payload) => Err(EngineError {
+                code: 500,
+                message: format!("solver panicked: {}", panic_message(payload.as_ref())),
+            }),
+        };
+        publish.outcome = Some(outcome.clone());
+        drop(publish);
         outcome.map(|solution| {
             let disposition = if solution.cache_hit { Disposition::Hit } else { Disposition::Miss };
             (solution, disposition)
         })
     }
+}
+
+/// The leader's obligation to its followers: on drop — normal return or
+/// unwind — unregister the in-flight key and publish an outcome, a 500 if
+/// the leader never recorded one. Without it a panicking leader would leave
+/// its key registered and park every later identical request forever.
+struct Publish<'e> {
+    engine: &'e Engine,
+    key: u64,
+    entry: Arc<Inflight>,
+    outcome: Option<Result<Arc<Solution>, EngineError>>,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            Err(EngineError { code: 500, message: "solve leader unwound".into() })
+        });
+        // Unpublish before waking followers: a request arriving after the
+        // removal starts a fresh solve instead of joining a finished one.
+        self.engine.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.key);
+        let mut slot = self.entry.result.lock().unwrap_or_else(PoisonError::into_inner);
+        *slot = Some(outcome);
+        self.entry.cv.notify_all();
+    }
+}
+
+/// The message of a caught panic payload (`panic!` carries a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Scales a power spec by `scale`, materializing the gcc map into explicit
@@ -350,6 +396,26 @@ mod tests {
         let e = engine.solve(&req).unwrap_err();
         assert_eq!(e.code, 422, "{e}");
         assert!(e.message.contains("line 14") && e.message.contains("`source`"), "{e}");
+        let (sol, _) = engine.solve(&named("paper-oil")).expect("engine still answers");
+        assert!(sol.solve_stats.converged);
+        assert_eq!(engine.inflight_len(), 0);
+    }
+
+    #[test]
+    fn a_panicking_leader_answers_500_and_the_engine_keeps_serving() {
+        // A 1e308 m/s oil film parses, but its conductance overflows to inf
+        // and trips the assembly assert inside `run_in`.
+        let paper_oil = scenario::SHIPPED.iter().find(|(n, _)| *n == "paper-oil").unwrap().1;
+        let mut req = named("x");
+        req.scenario =
+            ScenarioSource::Inline(paper_oil.replace("mineral-oil 10 ", "mineral-oil 1e308 "));
+        let engine = Engine::new(8);
+        for attempt in 0..2 {
+            let e = engine.solve(&req).unwrap_err();
+            assert_eq!(e.code, 500, "attempt {attempt}: {e}");
+            assert!(e.message.contains("panicked"), "{e}");
+            assert_eq!(engine.inflight_len(), 0, "attempt {attempt} left its key registered");
+        }
         let (sol, _) = engine.solve(&named("paper-oil")).expect("engine still answers");
         assert!(sol.solve_stats.converged);
         assert_eq!(engine.inflight_len(), 0);

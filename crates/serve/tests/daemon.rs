@@ -189,6 +189,49 @@ fn oversized_inline_grid_is_422_and_the_daemon_keeps_answering() {
     handle.shutdown_and_join();
 }
 
+/// One request on a fresh connection, failing instead of hanging if the
+/// daemon never answers.
+fn request_within(addr: &str, req: &Request, timeout: Duration) -> Json {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(timeout)).expect("read timeout");
+    write_frame(&mut stream, req.to_json().render().as_bytes()).expect("send");
+    let frame = read_frame(&mut stream, MAX_FRAME_BYTES).expect("daemon answered in time");
+    Json::parse(std::str::from_utf8(&frame).expect("utf-8")).expect("json")
+}
+
+#[test]
+fn a_panicking_solve_answers_500_without_wedging_the_daemon() {
+    let handle = spawn(ServerConfig { workers: 2, ..ServerConfig::default() }).expect("bind");
+    let addr = handle.addr().to_string();
+    // A 1e308 m/s oil film parses, but its conductance overflows to inf and
+    // trips the assembly assert inside the solve.
+    let paper_oil = hotiron_bench::scenario::SHIPPED
+        .iter()
+        .find(|(n, _)| *n == "paper-oil")
+        .expect("shipped")
+        .1;
+    let poison = Request::Solve(SolveRequest {
+        scenario: ScenarioSource::Inline(
+            paper_oil.replace("mineral-oil 10 ", "mineral-oil 1e308 "),
+        ),
+        fidelity: FidelityTier::Fast,
+        power_scale: None,
+        power_w: None,
+        deadline_ms: None,
+        blocks: false,
+        solver: None,
+    });
+    let timeout = Duration::from_secs(60);
+    for attempt in 0..2 {
+        let resp = request_within(&addr, &poison, timeout);
+        assert_eq!(code(&resp), 500, "attempt {attempt}: {}", resp.render());
+    }
+    let resp = request_within(&addr, &solve("paper-oil"), timeout);
+    assert_eq!(code(&resp), 200, "{}", resp.render());
+    assert_eq!(handle.engine().inflight_len(), 0);
+    handle.shutdown_and_join();
+}
+
 #[test]
 fn overload_sheds_queue_full_and_deadline_but_always_answers() {
     let handle = spawn(ServerConfig { workers: 1, queue_capacity: 1, ..ServerConfig::default() })

@@ -384,8 +384,8 @@ pub fn build_circuit_from_stack(
 /// full cache evicts the least recently used entry. All operations are
 /// `Send + Sync` — a server can own one instance per process, per tenant, or
 /// per worker group, with no ambient global state. The process-wide default
-/// used by [`build_circuit_cached`] is just one instance
-/// ([`CircuitCache::process`]).
+/// that [`ThermalModel::new`](crate::ThermalModel::new) uses is just one
+/// instance ([`CircuitCache::process`]).
 ///
 /// Assembly is deterministic, so a cache hit is observationally identical to
 /// a rebuild; hit/miss/eviction counts are exposed for telemetry
@@ -409,7 +409,8 @@ impl CircuitCache {
         Self(Lru::new(capacity.max(1)))
     }
 
-    /// The process-wide default instance backing [`build_circuit_cached`].
+    /// The process-wide default instance, which every
+    /// [`ThermalModel`](crate::ThermalModel) builds through.
     pub fn process() -> &'static CircuitCache {
         static PROCESS: OnceLock<CircuitCache> = OnceLock::new();
         PROCESS.get_or_init(|| CircuitCache::new(PROCESS_CACHE_CAPACITY))
@@ -493,23 +494,6 @@ impl CircuitCache {
     pub fn clear(&self) {
         self.0.clear();
     }
-}
-
-/// Like [`build_circuit_from_stack`], but returns a shared handle from the
-/// process-wide [`CircuitCache`] when an identical (stack, die, grid)
-/// circuit is cached. Repeated solves over the same stack across experiments
-/// then reuse one circuit — including its lazily built multigrid hierarchy —
-/// instead of re-assembling it.
-///
-/// # Errors
-///
-/// Any [`StackError`] from [`LayerStack::validate`].
-pub fn build_circuit_cached(
-    mapping: &GridMapping,
-    die: DieGeometry,
-    stack: &LayerStack,
-) -> Result<Arc<ThermalCircuit>, StackError> {
-    CircuitCache::process().get_or_build(mapping, die, stack).map(|(c, _)| c)
 }
 
 /// Per-stack assembly geometry shared by the stamping helpers. One instance
@@ -1485,8 +1469,11 @@ mod tests {
         let m = mapping(8, 8);
         let stack =
             Package::OilSilicon(OilSiliconPackage::paper_default()).to_stack(die20()).unwrap();
-        let a = build_circuit_cached(&m, die20(), &stack).unwrap();
-        let b = build_circuit_cached(&m, die20(), &stack).unwrap();
+        let cached = |m: &GridMapping, stack: &LayerStack| {
+            CircuitCache::process().get_or_build(m, die20(), stack).unwrap().0
+        };
+        let a = cached(&m, &stack);
+        let b = cached(&m, &stack);
         assert!(Arc::ptr_eq(&a, &b), "identical stacks must share one circuit");
         // A physically different stack gets its own circuit.
         let other = Package::OilSilicon(
@@ -1495,11 +1482,11 @@ mod tests {
         )
         .to_stack(die20())
         .unwrap();
-        let c = build_circuit_cached(&m, die20(), &other).unwrap();
+        let c = cached(&m, &other);
         assert!(!Arc::ptr_eq(&a, &c));
         // Same stack at a different grid too.
         let m2 = mapping(4, 4);
-        let d = build_circuit_cached(&m2, die20(), &stack).unwrap();
+        let d = cached(&m2, &stack);
         assert!(!Arc::ptr_eq(&a, &d));
     }
 }

@@ -10,7 +10,7 @@ use crate::pool;
 use crate::power::PowerMap;
 use crate::solve::{solve_steady, BackwardEuler, SolveError};
 use crate::sparse::SolveStats;
-use crate::stack::{LayerStack, StackError};
+use crate::stack::StackError;
 use crate::units::{celsius_to_kelvin, kelvin_to_celsius};
 use hotiron_floorplan::{Floorplan, GridMapping};
 use std::error::Error;
@@ -150,13 +150,6 @@ pub struct ThermalModel {
     /// its lazily built multigrid hierarchy.
     circuit: Arc<ThermalCircuit>,
     config: ModelConfig,
-    /// The package this model was lowered from, when it was built through
-    /// [`ThermalModel::new`]; models built from a raw stack have none.
-    package: Option<Package>,
-    /// The layer stack the circuit was assembled from.
-    stack: LayerStack,
-    /// Content hash of `stack` (see [`LayerStack::content_hash`]).
-    stack_hash: u64,
     /// Warm-start cache: the most recent steady solution (or an explicitly
     /// seeded state), used as the next steady solve's initial guess. Keyed
     /// to *this* model by construction — solutions never leak across models,
@@ -181,23 +174,6 @@ impl ThermalModel {
         package: Package,
         config: ModelConfig,
     ) -> Result<Self, ThermalError> {
-        Self::new_in(plan, package, config, CircuitCache::process())
-    }
-
-    /// Like [`new`](Self::new), but fetching/inserting the assembled circuit
-    /// through a caller-owned [`CircuitCache`] instead of the process-wide
-    /// default — the route servers take so their cache bound and telemetry
-    /// cover every circuit they build.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn new_in(
-        plan: Floorplan,
-        package: Package,
-        config: ModelConfig,
-        cache: &CircuitCache,
-    ) -> Result<Self, ThermalError> {
         config.validate()?;
         let die = DieGeometry {
             width: plan.width(),
@@ -205,66 +181,13 @@ impl ThermalModel {
             thickness: config.die_thickness,
         };
         let stack = package.to_stack(die)?;
-        Self::build(plan, stack, Some(package), config, cache)
-    }
-
-    /// Builds the model directly from a [`LayerStack`] — the open route for
-    /// configurations the [`Package`] enum cannot express. The die thickness
-    /// comes from the stack's silicon layer (`config.die_thickness` is
-    /// ignored).
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::Config`] for invalid configuration;
-    /// [`ThermalError::Stack`] when the stack fails validation.
-    pub fn from_stack(
-        plan: Floorplan,
-        stack: LayerStack,
-        config: ModelConfig,
-    ) -> Result<Self, ThermalError> {
-        Self::from_stack_in(plan, stack, config, CircuitCache::process())
-    }
-
-    /// Like [`from_stack`](Self::from_stack), through a caller-owned
-    /// [`CircuitCache`].
-    ///
-    /// # Errors
-    ///
-    /// As [`from_stack`](Self::from_stack).
-    pub fn from_stack_in(
-        plan: Floorplan,
-        stack: LayerStack,
-        config: ModelConfig,
-        cache: &CircuitCache,
-    ) -> Result<Self, ThermalError> {
-        config.validate()?;
-        Self::build(plan, stack, None, config, cache)
-    }
-
-    fn build(
-        plan: Floorplan,
-        stack: LayerStack,
-        package: Option<Package>,
-        config: ModelConfig,
-        cache: &CircuitCache,
-    ) -> Result<Self, ThermalError> {
         let mapping = GridMapping::new(&plan, config.rows, config.cols);
-        // Validation (inside the cache's build) rejects an out-of-range
-        // silicon index; the fallback thickness only keeps this pre-check
-        // panic-free until then.
-        let thickness =
-            stack.layers.get(stack.si_index).map_or(config.die_thickness, |l| l.thickness);
-        let die = DieGeometry { width: plan.width(), height: plan.height(), thickness };
-        let (circuit, _) = cache.get_or_build(&mapping, die, &stack)?;
-        let stack_hash = stack.content_hash();
+        let (circuit, _) = CircuitCache::process().get_or_build(&mapping, die, &stack)?;
         Ok(Self {
             plan,
             mapping,
             circuit,
             config,
-            package,
-            stack,
-            stack_hash,
             warm: Mutex::new(None),
             last_stats: Mutex::new(None),
         })
@@ -283,23 +206,6 @@ impl ThermalModel {
     /// The assembled circuit (for inspection and custom solvers).
     pub fn circuit(&self) -> &ThermalCircuit {
         &self.circuit
-    }
-
-    /// The package this model was lowered from, if it was built via
-    /// [`ThermalModel::new`] rather than [`ThermalModel::from_stack`].
-    pub fn package(&self) -> Option<&Package> {
-        self.package.as_ref()
-    }
-
-    /// The layer stack the circuit was assembled from.
-    pub fn stack(&self) -> &LayerStack {
-        &self.stack
-    }
-
-    /// Content hash of the lowered stack — the identity the circuit cache
-    /// keys on (together with die geometry and grid resolution).
-    pub fn stack_hash(&self) -> u64 {
-        self.stack_hash
     }
 
     /// The configuration.
@@ -598,12 +504,6 @@ impl<'m> TransientSim<'m> {
         Ok(())
     }
 
-    /// Resets to the all-ambient state and zero time.
-    pub fn reset(&mut self) {
-        self.state = self.model.initial_state();
-        self.time = 0.0;
-    }
-
     /// Advances by `duration` seconds under a constant power map.
     ///
     /// # Errors
@@ -785,49 +685,9 @@ mod tests {
             std::ptr::eq(a.circuit(), b.circuit()),
             "same stack + die + grid must reuse one assembled circuit"
         );
-        assert_eq!(a.stack_hash(), b.stack_hash());
         // Warm-start caches stay per-model even when the circuit is shared.
         a.seed_warm_start(a.initial_state());
         assert!(b.last_solve_stats().is_none());
-    }
-
-    #[test]
-    fn caller_owned_cache_tracks_its_own_models() {
-        let plan = library::ev6();
-        let cache = crate::circuit::CircuitCache::new(4);
-        let mk = || {
-            ThermalModel::new_in(
-                plan.clone(),
-                Package::OilSilicon(OilSiliconPackage::paper_default()),
-                // A grid no other test uses, so the shared process cache
-                // cannot satisfy it behind our back.
-                ModelConfig::paper_default().with_grid(7, 9),
-                &cache,
-            )
-            .unwrap()
-        };
-        let a = mk();
-        let b = mk();
-        assert!(std::ptr::eq(a.circuit(), b.circuit()));
-        let c = cache.counters();
-        assert_eq!((c.misses, c.hits, c.len), (1, 1, 1));
-    }
-
-    #[test]
-    fn from_stack_builds_inexpressible_configuration() {
-        // Bare die under a lumped forced-air path: no spreader, no sink —
-        // not representable as either Package variant.
-        let plan = library::ev6();
-        let stack = crate::stack::LayerStack::new(
-            vec![crate::stack::Layer::new("silicon", crate::materials::SILICON, 0.5e-3)],
-            0,
-        )
-        .with_top(crate::stack::Boundary::Lumped { r_total: 2.0, c_total: 30.0 });
-        let model = ThermalModel::from_stack(plan.clone(), stack, small_cfg()).unwrap();
-        assert!(model.package().is_none());
-        let power = PowerMap::from_pairs(&plan, [("IntReg", 2.0)]).unwrap();
-        let sol = model.steady_state(&power).unwrap();
-        assert_eq!(sol.hottest_block().0, "IntReg");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! Every stack also has a deterministic [`content hash`](LayerStack::content_hash)
 //! over its physical content (names, material properties, thicknesses,
 //! plate sides, boundaries). Combined with the die geometry and grid
-//! resolution it keys the process-wide circuit cache
-//! ([`circuit::build_circuit_cached`](crate::circuit::build_circuit_cached)),
+//! resolution it keys the circuit cache
+//! ([`CircuitCache`](crate::circuit::CircuitCache)),
 //! so repeated solves over the same stack share one assembled circuit — and
 //! with it the lazily built multigrid hierarchy — across experiments.
 

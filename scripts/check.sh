@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The full local gate: workspace audit, formatting, lints, docs, a perfbench
-# compile, release build, tests, the scenario smoke, the correctness gate
-# (oracles, quick fuzz, golden snapshots) and the benchmark gate
-# (correctness and exact counts). CI (.github/workflows/ci.yml) runs these
+# compile, release build, tests, the examples, the scenario smoke, the
+# correctness gate (oracles, quick fuzz, golden snapshots) and the benchmark
+# gate (correctness and exact counts). CI (.github/workflows/ci.yml) runs these
 # same steps, split across jobs; it also runs the tests and the smoke at
 # 1, 2 and all worker threads, regenerates the fast-fidelity CSVs on main,
 # and runs the benchmark A/B against a pull request's base.
@@ -49,6 +49,13 @@ cargo build --release
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# The examples are the only non-test callers of the public front end; clippy
+# compiles them, this runs each one (set -e fails on a non-zero exit).
+echo "==> examples"
+for f in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$f" .rs)"
+done
 
 # Every shipped scenario file must parse, assemble, solve and pass the
 # inline energy-balance and maximum-principle checks at both fidelities;

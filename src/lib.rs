@@ -14,11 +14,11 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`floorplan`] | die floorplans (EV6, Athlon64), `.flp` parsing, grid mapping |
+//! | [`floorplan`] | die floorplans (EV6, Athlon64), grid mapping |
 //! | [`thermal`] | the modified HotSpot: RC model, oil flow, secondary path, solvers |
 //! | [`refsim`] | independent fine-grid 3-D finite-volume solver (the ANSYS stand-in) |
 //! | [`powersim`] | synthetic SimpleScalar/Wattch power traces |
-//! | [`dtm`] | sensors, IR camera, DTM policies, placement, power inversion |
+//! | [`dtm`] | sensors, IR camera, threshold DTM, placement, power inversion |
 //!
 //! # Quick start
 //!
@@ -46,13 +46,11 @@ pub use hotiron_thermal as thermal;
 /// The most common imports in one place.
 pub mod prelude {
     pub use hotiron_dtm::{
-        ClosedLoop, DtmPolicy, DvfsDtm, IrCamera, PackageTranslator, PowerInverter, Sensor,
-        SensorArray, ThresholdDtm,
+        ClosedLoop, IrCamera, PackageTranslator, PowerInverter, Sensor, SensorArray, ThresholdDtm,
     };
     pub use hotiron_floorplan::{library, Block, Floorplan, GridMapping};
     pub use hotiron_powersim::{
-        engine::SyntheticCpu, pipeline::PipelineCpu, program, trace::PowerTrace, uarch, workload,
-        LeakageModel,
+        engine::SyntheticCpu, trace::PowerTrace, uarch, workload, LeakageModel,
     };
     pub use hotiron_refsim::{OilModel, RefSim, RefSimConfig};
     pub use hotiron_thermal::{

@@ -197,24 +197,6 @@ proptest! {
             prop_assert!((orig - rec).abs() < 1e-8, "{orig} vs {rec}");
         }
     }
-
-    /// Power traces: decimation preserves the time-average exactly on
-    /// whole groups.
-    #[test]
-    fn trace_decimation_preserves_average(
-        vals in proptest::collection::vec(0.0f64..20.0, 8..64),
-        factor in 1usize..4,
-    ) {
-        let usable = (vals.len() / factor) * factor;
-        let mut t = PowerTrace::new(1e-6, 1);
-        for v in &vals[..usable] {
-            t.push(&[*v]);
-        }
-        let d = t.decimate(factor);
-        let a1 = t.average()[0];
-        let a2 = d.average()[0];
-        prop_assert!((a1 - a2).abs() < 1e-9, "{a1} vs {a2}");
-    }
 }
 
 proptest! {
