@@ -81,11 +81,6 @@ impl UnitSpec {
         assert!(leakage.is_finite() && leakage >= 0.0, "leakage must be >= 0");
         Self { name: name.into(), class, peak_dynamic, leakage }
     }
-
-    /// Power at a given activity in `[0, 1]` and reference temperature, W.
-    pub fn power(&self, activity: f64) -> f64 {
-        self.leakage + self.peak_dynamic * activity.clamp(0.0, 1.0)
-    }
 }
 
 /// Exponential temperature dependence of leakage,
@@ -250,7 +245,7 @@ mod tests {
         let density = |name: &str| {
             let u = units.iter().find(|u| u.name == name).unwrap();
             let b = plan.block(name).unwrap();
-            u.power(activity(u.class)) / b.area()
+            (u.leakage + u.peak_dynamic * activity(u.class)) / b.area()
         };
         let d_intreg = density("IntReg");
         for b in plan.iter() {
@@ -277,15 +272,6 @@ mod tests {
                 u.name
             );
         }
-    }
-
-    #[test]
-    fn unit_power_clamps_activity() {
-        let u = UnitSpec::new("x", UnitClass::IntExec, 2.0, 0.5);
-        assert_eq!(u.power(0.0), 0.5);
-        assert_eq!(u.power(1.0), 2.5);
-        assert_eq!(u.power(5.0), 2.5);
-        assert_eq!(u.power(-1.0), 0.5);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The solve engine: scenario resolution, request coalescing, and the
 //! daemon-owned circuit cache.
 //!
-//! Coalescing sits *above* the LRU: concurrent identical requests elect one
-//! leader that runs the full pipeline while followers block on a condvar and
-//! share the leader's [`Solution`]. The in-flight key hashes the canonical
-//! `.scn` text of the *effective* scenario (after power and solver
-//! overrides), which pins every layer, placement and via field, plus the
-//! fidelity tier — two requests coalesce exactly when they would run
-//! byte-identical pipelines. Because followers never call into the cache,
+//! Coalescing sits *above* the LRU: concurrent identical requests share one
+//! `OnceLock` whose single initializer (the leader) runs the full pipeline
+//! while the followers block in `get_or_init` and share the leader's
+//! [`Solution`]. The in-flight key hashes the canonical `.scn` text of the
+//! *effective* scenario (after power and solver overrides), which pins
+//! every layer, placement and via field, plus the fidelity tier — two
+//! requests coalesce exactly when they would run byte-identical pipelines. Because followers never call into the cache,
 //! `misses == 1 && hits == 0` on a fresh cache is proof that N concurrent
 //! identical requests assembled exactly one circuit.
 
@@ -21,7 +21,8 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A solve failure with its response code: `404` unknown scenario, `422`
 /// unusable scenario content, `500` solver failure.
@@ -67,18 +68,15 @@ impl Disposition {
     }
 }
 
-/// One in-flight solve: the leader publishes into `result` and wakes
-/// followers through `cv`.
-struct Inflight {
-    result: Mutex<Option<Result<Arc<Solution>, EngineError>>>,
-    cv: Condvar,
-}
+/// A solve's result, shared by its leader and every follower.
+type Outcome = Result<Arc<Solution>, EngineError>;
 
 /// The daemon's solve engine. Shared across workers (`&Engine` is all the
 /// hot path needs); owns the bounded circuit cache and the in-flight table.
 pub struct Engine {
     cache: CircuitCache,
-    inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
+    inflight: Mutex<HashMap<u64, Arc<OnceLock<Outcome>>>>,
+    panics: AtomicU64,
 }
 
 impl fmt::Debug for Engine {
@@ -101,7 +99,11 @@ fn coalesce_key(sc: &Scenario, fidelity: Fidelity) -> u64 {
 impl Engine {
     /// An engine whose circuit cache holds at most `cache_capacity` circuits.
     pub fn new(cache_capacity: usize) -> Self {
-        Self { cache: CircuitCache::new(cache_capacity), inflight: Mutex::new(HashMap::new()) }
+        Self {
+            cache: CircuitCache::new(cache_capacity),
+            inflight: Mutex::new(HashMap::new()),
+            panics: AtomicU64::new(0),
+        }
     }
 
     /// The engine-owned circuit cache (for `/stats` and tests).
@@ -111,7 +113,13 @@ impl Engine {
 
     /// Solves currently in flight (leaders with possible followers).
     pub fn inflight_len(&self) -> usize {
-        self.inflight.lock().expect("inflight table poisoned").len()
+        self.inflight.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    /// Solves that panicked and answered 500; each counts once, however
+    /// many followers shared it.
+    pub fn panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// Resolves a request to the effective scenario it will run: looks up or
@@ -188,78 +196,46 @@ impl Engine {
         let (sc, fidelity) = self.resolve(req)?;
         let key = coalesce_key(&sc, fidelity);
 
-        let (entry, leader) = {
-            let mut inflight = self.inflight.lock().expect("inflight table poisoned");
-            match inflight.get(&key) {
-                Some(entry) => (Arc::clone(entry), false),
-                None => {
-                    let entry = Arc::new(Inflight { result: Mutex::new(None), cv: Condvar::new() });
-                    inflight.insert(key, Arc::clone(&entry));
-                    (entry, true)
+        let entry = Arc::clone(
+            self.inflight.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
+        );
+        let mut led = false;
+        let outcome = entry.get_or_init(|| {
+            led = true;
+            // A panic inside the pipeline (e.g. an assembly assert on an
+            // inf conductance) answers this request with a 500 instead of
+            // killing the worker; the circuit LRU builds outside its lock,
+            // so the unwind leaves no poisoned state behind.
+            let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
+                scenario::run_in(&sc, fidelity, &self.cache)
+            })) {
+                Ok(Ok(solution)) => Ok(Arc::new(solution)),
+                Ok(Err(e)) => {
+                    let code = if e.kind == ErrorKind::Solve { 500 } else { 422 };
+                    Err(EngineError { code, message: e.to_string() })
                 }
-            }
-        };
-
-        if !leader {
-            let mut slot = entry.result.lock().expect("inflight slot poisoned");
-            while slot.is_none() {
-                slot = entry.cv.wait(slot).expect("inflight slot poisoned");
-            }
-            return slot
-                .clone()
-                .expect("loop exits only once published")
-                .map(|solution| (solution, Disposition::Coalesced));
-        }
-
-        let mut publish = Publish { engine: self, key, entry, outcome: None };
-        // A panic inside the pipeline (e.g. an assembly assert on an
-        // inf conductance) answers this request with a 500 instead of
-        // killing the worker; the circuit LRU builds outside its lock, so
-        // the unwind leaves no poisoned state behind.
-        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
-            scenario::run_in(&sc, fidelity, &self.cache)
-        })) {
-            Ok(Ok(solution)) => Ok(Arc::new(solution)),
-            Ok(Err(e)) => {
-                let code = if e.kind == ErrorKind::Solve { 500 } else { 422 };
-                Err(EngineError { code, message: e.to_string() })
-            }
-            Err(payload) => Err(EngineError {
-                code: 500,
-                message: format!("solver panicked: {}", panic_message(payload.as_ref())),
-            }),
-        };
-        publish.outcome = Some(outcome.clone());
-        drop(publish);
-        outcome.map(|solution| {
-            let disposition = if solution.cache_hit { Disposition::Hit } else { Disposition::Miss };
+                Err(payload) => {
+                    self.panics.fetch_add(1, Ordering::Relaxed);
+                    Err(EngineError {
+                        code: 500,
+                        message: format!("solver panicked: {}", panic_message(payload.as_ref())),
+                    })
+                }
+            };
+            // Unregister before the followers wake: a request arriving after
+            // the removal starts a fresh solve instead of joining a finished
+            // one.
+            self.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&key);
+            outcome
+        });
+        outcome.clone().map(|solution| {
+            let disposition = match (led, solution.cache_hit) {
+                (false, _) => Disposition::Coalesced,
+                (true, true) => Disposition::Hit,
+                (true, false) => Disposition::Miss,
+            };
             (solution, disposition)
         })
-    }
-}
-
-/// The leader's obligation to its followers: on drop — normal return or
-/// unwind — unregister the in-flight key and publish an outcome, a 500 if
-/// the leader never recorded one. Without it a panicking leader would leave
-/// its key registered and park every later identical request forever.
-struct Publish<'e> {
-    engine: &'e Engine,
-    key: u64,
-    entry: Arc<Inflight>,
-    outcome: Option<Result<Arc<Solution>, EngineError>>,
-}
-
-impl Drop for Publish<'_> {
-    fn drop(&mut self) {
-        let outcome = self.outcome.take().unwrap_or_else(|| {
-            Err(EngineError { code: 500, message: "solve leader unwound".into() })
-        });
-        // Unpublish before waking followers: a request arriving after the
-        // removal starts a fresh solve instead of joining a finished one.
-        self.engine.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.key);
-        let mut slot = self.entry.result.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = Some(outcome);
-        self.entry.cv.notify_all();
     }
 }
 
@@ -419,6 +395,40 @@ mod tests {
         let (sol, _) = engine.solve(&named("paper-oil")).expect("engine still answers");
         assert!(sol.solve_stats.converged);
         assert_eq!(engine.inflight_len(), 0);
+    }
+
+    #[test]
+    fn concurrent_followers_of_a_panicking_leader_all_answer_500() {
+        const N: usize = 4;
+        let paper_oil = scenario::SHIPPED.iter().find(|(n, _)| *n == "paper-oil").unwrap().1;
+        let mut req = named("x");
+        req.scenario =
+            ScenarioSource::Inline(paper_oil.replace("mineral-oil 10 ", "mineral-oil 1e308 "));
+        let engine = Arc::new(Engine::new(8));
+        let barrier = Arc::new(Barrier::new(N));
+        let errors: Vec<EngineError> = (0..N)
+            .map(|_| {
+                let (engine, barrier, req) =
+                    (Arc::clone(&engine), Arc::clone(&barrier), req.clone());
+                thread::spawn(move || {
+                    barrier.wait();
+                    engine.solve(&req).unwrap_err()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("no request hangs or panics"))
+            .collect();
+        // How many requests shared a leader depends on timing; every one of
+        // them must still get the leader's 500.
+        for e in &errors {
+            assert_eq!(e.code, 500, "{e}");
+            assert!(e.message.contains("panicked"), "{e}");
+        }
+        assert!((1..=N as u64).contains(&engine.panics()), "{} panics", engine.panics());
+        assert_eq!(engine.inflight_len(), 0, "no key left registered");
+        let (sol, _) = engine.solve(&named("paper-oil")).expect("engine still answers");
+        assert!(sol.solve_stats.converged);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Daemon telemetry: lock-free counters plus bounded latency rings.
+//! Daemon telemetry: lock-free counters and gauges plus bounded latency
+//! rings.
 //!
-//! Each ring keeps the most recent [`RING_CAPACITY`] solve latencies;
-//! percentiles are computed over that window on demand, so `/stats` costs
-//! one sort of ≤4096 samples and the hot path costs one atomic store.
+//! Each ring keeps the most recent [`RING_CAPACITY`] solve latencies behind
+//! a `Mutex`; percentiles are computed over that window on demand, so
+//! `/stats` costs one sort of ≤4096 samples and a solve costs two short
+//! lock-and-store sections (the overall ring and its path's ring).
 //!
 //! Latencies are recorded twice: once into the overall ring and once into a
 //! per-path ring keyed by [`LatencyPath`]. A cache hit answers in tens of
@@ -11,7 +13,7 @@
 //! moved, so `/stats` now reports each service path separately.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Latency samples retained for percentile estimation (per ring).
@@ -119,6 +121,10 @@ pub struct Metrics {
     pub failed: AtomicU64,
     /// Workers currently inside a solve.
     pub busy_workers: AtomicUsize,
+    /// Admitted solves no worker has taken yet.
+    pub queue_depth: AtomicUsize,
+    /// Open client connections.
+    pub connections: AtomicUsize,
     ring: Mutex<Ring>,
     by_path: [Mutex<Ring>; 4],
 }
@@ -157,6 +163,8 @@ impl Metrics {
             not_found: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             busy_workers: AtomicUsize::new(0),
+            queue_depth: AtomicUsize::new(0),
+            connections: AtomicUsize::new(0),
             ring: Mutex::new(Ring::new()),
             by_path: [
                 Mutex::new(Ring::new()),
@@ -174,24 +182,24 @@ impl Metrics {
 
     /// Records one end-to-end solve latency into the overall ring only.
     pub fn record_latency_ns(&self, ns: u64) {
-        self.ring.lock().expect("latency ring poisoned").record(ns);
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner).record(ns);
     }
 
     /// Records one end-to-end solve latency into both the overall ring and
     /// the ring for `path`.
     pub fn record_path_latency_ns(&self, path: LatencyPath, ns: u64) {
         self.record_latency_ns(ns);
-        self.by_path[path.index()].lock().expect("latency ring poisoned").record(ns);
+        self.by_path[path.index()].lock().unwrap_or_else(PoisonError::into_inner).record(ns);
     }
 
     /// Percentiles over the current overall window (zeros when empty).
     pub fn latency(&self) -> LatencySummary {
-        self.ring.lock().expect("latency ring poisoned").summary()
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner).summary()
     }
 
     /// Percentiles over the current window for one service path.
     pub fn path_latency(&self, path: LatencyPath) -> LatencySummary {
-        self.by_path[path.index()].lock().expect("latency ring poisoned").summary()
+        self.by_path[path.index()].lock().unwrap_or_else(PoisonError::into_inner).summary()
     }
 }
 

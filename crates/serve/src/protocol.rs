@@ -10,8 +10,8 @@
 //! ```
 //!
 //! One frame carries one JSON document. The length counts payload bytes
-//! only; frames longer than the server's configured bound are rejected with
-//! a `413` error and the connection is closed (an oversized or garbage
+//! only; the daemon rejects frames longer than [`MAX_FRAME_BYTES`] with a
+//! `413` error and the connection is closed (an oversized or garbage
 //! prefix means the stream can no longer be trusted to be frame-aligned).
 //!
 //! # Requests
@@ -46,7 +46,7 @@ use crate::json::{obj, Json};
 use hotiron_bench::scenario::SolverSpec;
 use std::io::{self, Read, Write};
 
-/// Default maximum frame payload: 1 MiB.
+/// Largest frame payload the daemon accepts: 1 MiB.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// A framing failure while reading.
@@ -103,13 +103,27 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// for timeouts and transport failures, [`FrameError::Oversized`] /
 /// [`FrameError::Truncated`] for malformed streams.
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameError> {
+    read_frame_with(max, |buf, _| r.read(buf).map_err(FrameError::Io))
+}
+
+/// Reads one frame through `read`, which fills its buffer like
+/// [`Read::read`] (`Ok(0)` is end of stream) and is told whether a frame
+/// has begun (`mid_frame`), so a caller can treat an idle wait between
+/// frames differently from a stall inside one.
+///
+/// # Errors
+///
+/// As [`read_frame`], plus whatever `read` returns.
+pub(crate) fn read_frame_with(
+    max: usize,
+    mut read: impl FnMut(&mut [u8], bool) -> Result<usize, FrameError>,
+) -> Result<Vec<u8>, FrameError> {
     let mut prefix = [0u8; 4];
     let mut got = 0;
     while got < 4 {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) => return Err(if got == 0 { FrameError::Closed } else { FrameError::Truncated }),
-            Ok(n) => got += n,
-            Err(e) => return Err(FrameError::Io(e)),
+        match read(&mut prefix[got..], got > 0)? {
+            0 => return Err(if got == 0 { FrameError::Closed } else { FrameError::Truncated }),
+            n => got += n,
         }
     }
     let declared = u32::from_be_bytes(prefix) as usize;
@@ -119,10 +133,9 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameError> 
     let mut payload = vec![0u8; declared];
     let mut filled = 0;
     while filled < declared {
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => filled += n,
-            Err(e) => return Err(FrameError::Io(e)),
+        match read(&mut payload[filled..], true)? {
+            0 => return Err(FrameError::Truncated),
+            n => filled += n,
         }
     }
     Ok(payload)

@@ -16,20 +16,24 @@
 //! Drain: a `shutdown` request flips the drain flag, wakes the acceptor with
 //! a self-connection, and lets every layer finish what it holds — queued
 //! solves complete, connection threads answer their in-flight request and
-//! close, workers exit when the queue is empty. [`ServerHandle::join`]
-//! returns once all of that has happened.
+//! close, workers exit when the queue is empty. The queue is a bounded
+//! channel whose senders are the acceptor and the connection threads, so a
+//! worker's `recv` fails exactly when the drain is done: every sender has
+//! exited and no job is left. [`ServerHandle::join`] returns once all of
+//! that has happened.
 
 use crate::engine::{solution_response, Engine};
 use crate::json::{obj, Json};
 use crate::metrics::{LatencyPath, Metrics};
 use crate::protocol::{
-    error_response, shed_response, write_frame, FrameError, Request, SolveRequest, MAX_FRAME_BYTES,
+    error_response, read_frame_with, shed_response, write_frame, FrameError, Request, SolveRequest,
+    MAX_FRAME_BYTES,
 };
-use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -40,14 +44,13 @@ pub struct ServerConfig {
     pub addr: String,
     /// Solver worker threads.
     pub workers: usize,
-    /// Solve-queue bound; admission past this sheds `503 queue-full`.
+    /// Solve-queue bound; admission past this sheds `503 queue-full`. A
+    /// bound of 0 is treated as 1.
     pub queue_capacity: usize,
     /// Circuit-cache bound (circuits, not bytes).
     pub cache_capacity: usize,
     /// Deadline applied when a request carries none, milliseconds.
     pub default_deadline_ms: u64,
-    /// Largest accepted frame payload, bytes.
-    pub max_frame_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -59,7 +62,6 @@ impl Default for ServerConfig {
             queue_capacity: 128,
             cache_capacity: 32,
             default_deadline_ms: 1_000,
-            max_frame_bytes: MAX_FRAME_BYTES,
         }
     }
 }
@@ -69,7 +71,7 @@ struct Job {
     req: SolveRequest,
     enqueued: Instant,
     deadline: Duration,
-    reply: mpsc::SyncSender<Json>,
+    reply: SyncSender<Json>,
 }
 
 /// State shared by the acceptor, connections and workers.
@@ -78,11 +80,9 @@ struct Shared {
     metrics: Metrics,
     config: ServerConfig,
     local_addr: SocketAddr,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
+    /// The solve queue's receiving end, taken by one idle worker at a time.
+    jobs: Mutex<Receiver<Job>>,
     shutdown: AtomicBool,
-    conns: Mutex<usize>,
-    conns_cv: Condvar,
 }
 
 impl Shared {
@@ -123,7 +123,7 @@ impl ServerHandle {
         if let Ok(mut stream) = TcpStream::connect(self.addr) {
             let payload = Request::Shutdown.to_json().render();
             let _ = write_frame(&mut stream, payload.as_bytes());
-            let _ = crate::protocol::read_frame(&mut stream, self.shared.config.max_frame_bytes);
+            let _ = crate::protocol::read_frame(&mut stream, MAX_FRAME_BYTES);
         }
         self.join();
     }
@@ -137,15 +137,13 @@ impl ServerHandle {
 pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
+    let (jobs_tx, jobs_rx) = mpsc::sync_channel(config.queue_capacity.max(1));
     let shared = Arc::new(Shared {
         engine: Engine::new(config.cache_capacity),
         metrics: Metrics::new(),
         local_addr,
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
+        jobs: Mutex::new(jobs_rx),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(0),
-        conns_cv: Condvar::new(),
         config,
     });
 
@@ -163,53 +161,37 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("serve-acceptor".to_owned())
-            .spawn(move || acceptor_loop(&listener, &shared, workers))
+            .spawn(move || acceptor_loop(&listener, &shared, jobs_tx, workers))
             .expect("spawn acceptor thread")
     };
 
     Ok(ServerHandle { addr: local_addr, shared, acceptor: Some(acceptor) })
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHandle<()>>) {
-    loop {
+fn acceptor_loop(
+    listener: &TcpListener,
+    shared: &Arc<Shared>,
+    jobs: SyncSender<Job>,
+    workers: Vec<JoinHandle<()>>,
+) {
+    for stream in listener.incoming() {
+        // The drain wake-up connection (or a late client) ends the accept
+        // loop either way.
         if shared.draining() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.draining() {
-                    // The drain wake-up connection (or a late client): the
-                    // accept loop is over either way.
-                    break;
-                }
-                *shared.conns.lock().expect("conn count poisoned") += 1;
-                let conn_shared = Arc::clone(shared);
-                let spawned =
-                    thread::Builder::new().name("serve-conn".to_owned()).spawn(move || {
-                        connection_loop(stream, &conn_shared);
-                        let mut conns = conn_shared.conns.lock().expect("conn count poisoned");
-                        *conns -= 1;
-                        conn_shared.conns_cv.notify_all();
-                    });
-                if spawned.is_err() {
-                    *shared.conns.lock().expect("conn count poisoned") -= 1;
-                }
-            }
-            Err(_) => {
-                if shared.draining() {
-                    break;
-                }
-            }
-        }
+        let Ok(stream) = stream else { continue };
+        let (shared, jobs) = (Arc::clone(shared), jobs.clone());
+        // A failed spawn drops the stream, which closes the connection.
+        let _ = thread::Builder::new().name("serve-conn".to_owned()).spawn(move || {
+            shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+            connection_loop(stream, &shared, &jobs);
+            shared.metrics.connections.fetch_sub(1, Ordering::Relaxed);
+        });
     }
-    // Drain: wait for every connection to answer its in-flight request and
-    // close, then let the workers run the queue dry and exit.
-    let mut conns = shared.conns.lock().expect("conn count poisoned");
-    while *conns > 0 {
-        conns = shared.conns_cv.wait(conns).expect("conn count poisoned");
-    }
-    drop(conns);
-    shared.queue_cv.notify_all();
+    // Drain: once this sender and every connection thread's clone are gone,
+    // the workers run the queue dry and exit.
+    drop(jobs);
     for w in workers {
         let _ = w.join();
     }
@@ -217,25 +199,11 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>, workers: Vec<Join
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("solve queue poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                // Exit only once no connection thread can enqueue anymore:
-                // a connection may pass its admission check just as the
-                // drain flag flips, so "draining + empty queue" alone would
-                // strand that job (and deadlock its connection).
-                if shared.draining() && *shared.conns.lock().expect("conn count poisoned") == 0 {
-                    return;
-                }
-                // Timed wait: the last connection closing is signalled on
-                // conns_cv, not this condvar, so re-check periodically.
-                queue =
-                    shared.queue_cv.wait_timeout(queue, IDLE_POLL).expect("solve queue poisoned").0;
-            }
-        };
+        // Bind the job before matching: in a `while let` scrutinee the lock
+        // guard would live through the solve and serialize the pool.
+        let next = shared.jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = next else { return };
+        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let response = if job.enqueued.elapsed() > job.deadline {
             shared.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
             shed_response("deadline")
@@ -286,83 +254,48 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 const DRAIN_GRACE_POLLS: u32 = 40;
 
 /// [`crate::protocol::read_frame`] with drain awareness: timeouts outside a
-/// frame are idle polls (close when `stop`), timeouts inside a frame wait
-/// for the peer to finish sending (bounded once draining).
-fn read_frame_idle(
-    stream: &mut TcpStream,
-    max: usize,
-    stop: impl Fn() -> bool,
-) -> Result<Option<Vec<u8>>, FrameError> {
+/// frame are idle polls (a drain closes the connection, reported as
+/// [`FrameError::Closed`]), timeouts inside a frame wait for the peer to
+/// finish sending (bounded once draining).
+fn read_frame_idle(stream: &mut TcpStream, shared: &Shared) -> Result<Vec<u8>, FrameError> {
     let mut stale_polls = 0u32;
-    let mut poll = |buf: &mut [u8], mid_frame: bool| -> Result<Option<usize>, FrameError> {
-        loop {
-            match stream.read(buf) {
-                Ok(n) => return Ok(Some(n)),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-                {
-                    if stop() {
-                        stale_polls += 1;
-                        if !mid_frame || stale_polls > DRAIN_GRACE_POLLS {
-                            return Ok(None);
-                        }
+    read_frame_with(MAX_FRAME_BYTES, |buf, mid_frame| loop {
+        match stream.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                if shared.draining() {
+                    stale_polls += 1;
+                    if !mid_frame || stale_polls > DRAIN_GRACE_POLLS {
+                        return Err(FrameError::Closed);
                     }
                 }
-                Err(e) => return Err(FrameError::Io(e)),
             }
+            read => return read.map_err(FrameError::Io),
         }
-    };
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match poll(&mut prefix[got..], got > 0)? {
-            None => return Ok(None),
-            Some(0) if got == 0 => return Ok(None),
-            Some(0) => return Err(FrameError::Truncated),
-            Some(n) => got += n,
-        }
-    }
-    let declared = u32::from_be_bytes(prefix) as usize;
-    if declared > max {
-        return Err(FrameError::Oversized { declared, max });
-    }
-    let mut payload = vec![0u8; declared];
-    let mut filled = 0;
-    while filled < declared {
-        match poll(&mut payload[filled..], true)? {
-            None => return Ok(None),
-            Some(0) => return Err(FrameError::Truncated),
-            Some(n) => filled += n,
-        }
-    }
-    Ok(Some(payload))
+    })
 }
 
 fn respond(stream: &mut TcpStream, json: &Json) -> bool {
     write_frame(stream, json.render().as_bytes()).is_ok()
 }
 
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn connection_loop(mut stream: TcpStream, shared: &Shared, jobs: &SyncSender<Job>) {
     if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
         return;
     }
     let _ = stream.set_nodelay(true);
     loop {
-        let payload =
-            match read_frame_idle(&mut stream, shared.config.max_frame_bytes, || shared.draining())
-            {
-                Ok(Some(payload)) => payload,
-                Ok(None) => return,
-                Err(e @ (FrameError::Oversized { .. } | FrameError::Truncated)) => {
-                    // The stream is no longer frame-aligned: answer, close.
-                    shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let code = if matches!(e, FrameError::Oversized { .. }) { 413 } else { 400 };
-                    respond(&mut stream, &error_response(code, &e.to_string()));
-                    return;
-                }
-                Err(_) => return,
-            };
+        let payload = match read_frame_idle(&mut stream, shared) {
+            Ok(payload) => payload,
+            Err(e @ (FrameError::Oversized { .. } | FrameError::Truncated)) => {
+                // The stream is no longer frame-aligned: answer, close.
+                shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                let code = if matches!(e, FrameError::Oversized { .. }) { 413 } else { 400 };
+                respond(&mut stream, &error_response(code, &e.to_string()));
+                return;
+            }
+            Err(_) => return,
+        };
         let received = Instant::now();
         let request = std::str::from_utf8(&payload)
             .map_err(|e| format!("payload is not utf-8: {e}"))
@@ -389,7 +322,6 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             Request::Shutdown => {
                 shared.shutdown.store(true, Ordering::SeqCst);
-                shared.queue_cv.notify_all();
                 // Unblock the acceptor so it can start the drain.
                 let _ = TcpStream::connect(shared.local_addr);
                 respond(
@@ -404,7 +336,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 return;
             }
             Request::Solve(req) => {
-                let response = admit_solve(shared, req);
+                let response = admit_solve(shared, jobs, req);
                 let ok = response.get("code").and_then(Json::as_u64) == Some(200);
                 if ok {
                     let ns = received.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -439,7 +371,7 @@ fn response_path(response: &Json) -> LatencyPath {
 
 /// Admission control: shed while draining or when the queue is at capacity,
 /// otherwise enqueue and wait for the worker's reply.
-fn admit_solve(shared: &Shared, req: SolveRequest) -> Json {
+fn admit_solve(shared: &Shared, jobs: &SyncSender<Job>, req: SolveRequest) -> Json {
     if shared.draining() {
         shared.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
         return shed_response("draining");
@@ -447,15 +379,14 @@ fn admit_solve(shared: &Shared, req: SolveRequest) -> Json {
     let deadline =
         Duration::from_millis(req.deadline_ms.unwrap_or(shared.config.default_deadline_ms));
     let (tx, rx) = mpsc::sync_channel(1);
-    {
-        let mut queue = shared.queue.lock().expect("solve queue poisoned");
-        if queue.len() >= shared.config.queue_capacity {
-            shared.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-            return shed_response("queue-full");
-        }
-        queue.push_back(Job { req, enqueued: Instant::now(), deadline, reply: tx });
+    shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+    // The receiver lives in `Shared`, which outlives this sender, so the
+    // only way a send fails is a full queue.
+    if jobs.try_send(Job { req, enqueued: Instant::now(), deadline, reply: tx }).is_err() {
+        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        shared.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
+        return shed_response("queue-full");
     }
-    shared.queue_cv.notify_one();
     rx.recv().unwrap_or_else(|_| error_response(500, "worker exited before replying"))
 }
 
@@ -465,6 +396,7 @@ fn stats_response(shared: &Shared) -> Json {
     let c = shared.engine.cache().counters();
     let ms = |ns: u64| ns as f64 / 1e6;
     let count = |a: &std::sync::atomic::AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
+    let gauge = |a: &std::sync::atomic::AtomicUsize| Json::Num(a.load(Ordering::Relaxed) as f64);
     obj([
         ("ok", Json::Bool(true)),
         ("code", Json::Num(200.0)),
@@ -483,6 +415,7 @@ fn stats_response(shared: &Shared) -> Json {
                 ("protocol_errors", count(&m.protocol_errors)),
                 ("not_found", count(&m.not_found)),
                 ("failed", count(&m.failed)),
+                ("panicked", Json::Num(shared.engine.panics() as f64)),
             ]),
         ),
         (
@@ -538,16 +471,10 @@ fn stats_response(shared: &Shared) -> Json {
             "pool",
             obj([
                 ("workers", Json::Num(shared.config.workers as f64)),
-                ("busy", Json::Num(m.busy_workers.load(Ordering::Relaxed) as f64)),
-                (
-                    "queue_depth",
-                    Json::Num(shared.queue.lock().expect("solve queue poisoned").len() as f64),
-                ),
+                ("busy", gauge(&m.busy_workers)),
+                ("queue_depth", gauge(&m.queue_depth)),
                 ("queue_capacity", Json::Num(shared.config.queue_capacity as f64)),
-                (
-                    "connections",
-                    Json::Num(*shared.conns.lock().expect("conn count poisoned") as f64),
-                ),
+                ("connections", gauge(&m.connections)),
                 ("inflight", Json::Num(shared.engine.inflight_len() as f64)),
             ]),
         ),

@@ -229,6 +229,10 @@ fn a_panicking_solve_answers_500_without_wedging_the_daemon() {
     let resp = request_within(&addr, &solve("paper-oil"), timeout);
     assert_eq!(code(&resp), 200, "{}", resp.render());
     assert_eq!(handle.engine().inflight_len(), 0);
+    let stats = request_within(&addr, &Request::Stats, timeout);
+    let requests = stats.get("requests").expect("requests section");
+    assert_eq!(requests.get("panicked").and_then(Json::as_u64), Some(2), "{}", stats.render());
+    assert_eq!(requests.get("failed").and_then(Json::as_u64), Some(2), "{}", stats.render());
     handle.shutdown_and_join();
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Point-in-time view of a cache's counters and occupancy (the same shape
 /// for [`CircuitCache`](crate::circuit::CircuitCache) and
@@ -79,8 +79,10 @@ impl<V> Lru<V> {
         }
     }
 
+    /// The locked state. Builds run outside the lock and every update under
+    /// it leaves a valid map, so a guard poisoned by a panic is recovered.
     fn state(&self) -> std::sync::MutexGuard<'_, State<V>> {
-        self.inner.lock().expect("cache poisoned")
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the value cached under `key`, running `build` outside the

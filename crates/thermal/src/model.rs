@@ -15,7 +15,7 @@ use crate::units::{celsius_to_kelvin, kelvin_to_celsius};
 use hotiron_floorplan::{Floorplan, GridMapping};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Errors from model construction or solving.
 #[derive(Debug)]
@@ -260,7 +260,7 @@ impl ThermalModel {
         let p = self.cell_power(power);
         let mut state = self.initial_state();
         let warm = {
-            let cache = self.warm.lock().expect("warm-start cache poisoned");
+            let cache = self.warm.lock().unwrap_or_else(PoisonError::into_inner);
             match cache.as_ref() {
                 Some(prev) => {
                     state.copy_from_slice(prev);
@@ -277,12 +277,12 @@ impl ThermalModel {
             }
             Err(e) => {
                 // A failed warm-started solve must not poison later solves.
-                *self.warm.lock().expect("warm-start cache poisoned") = None;
+                *self.warm.lock().unwrap_or_else(PoisonError::into_inner) = None;
                 return Err(e.into());
             }
         };
-        *self.warm.lock().expect("warm-start cache poisoned") = Some(state.clone());
-        *self.last_stats.lock().expect("stats cache poisoned") = Some(stats);
+        *self.warm.lock().unwrap_or_else(PoisonError::into_inner) = Some(state.clone());
+        *self.last_stats.lock().unwrap_or_else(PoisonError::into_inner) = Some(stats);
         Ok(Solution { model: self, state })
     }
 
@@ -295,13 +295,13 @@ impl ThermalModel {
     /// Panics if `state.len()` differs from the circuit's node count.
     pub fn seed_warm_start(&self, state: Vec<f64>) {
         assert_eq!(state.len(), self.circuit.node_count(), "state length mismatch");
-        *self.warm.lock().expect("warm-start cache poisoned") = Some(state);
+        *self.warm.lock().unwrap_or_else(PoisonError::into_inner) = Some(state);
     }
 
     /// Telemetry of the most recent [`steady_state`](Self::steady_state)
     /// solve on this model, if any succeeded yet.
     pub fn last_solve_stats(&self) -> Option<SolveStats> {
-        self.last_stats.lock().expect("stats cache poisoned").clone()
+        self.last_stats.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Creates a transient simulator starting from ambient.

@@ -50,6 +50,14 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The daemon tests are the only check of the drain and shed paths, and they
+# depend on timing (the overload test sleeps): rerun them, failing on any
+# failure (set -e).
+echo "==> daemon tests, 5 runs"
+for run in 1 2 3 4 5; do
+  cargo test --release -q -p hotiron-serve --test daemon
+done
+
 # The examples are the only non-test callers of the public front end; clippy
 # compiles them, this runs each one (set -e fails on a non-zero exit).
 echo "==> examples"
